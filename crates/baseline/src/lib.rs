@@ -16,6 +16,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cost;
+pub mod cursor;
 pub mod engine;
 pub mod ops;
 pub mod pruned;
@@ -26,6 +27,7 @@ pub mod topk;
 pub use cost::{
     estimate_query_cost, CpuCostModel, PhaseBreakdown, QueryCostEstimate, HEAVY_DF_THRESHOLD,
 };
+pub use cursor::PostingCursor;
 pub use engine::{CpuEngine, QueryOutcome};
 pub use ops::{BlockCache, DecodeScratch, OpCounts, BLOCK_CACHE_ENTRIES};
 pub use sharded::{

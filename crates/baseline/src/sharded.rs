@@ -1153,56 +1153,23 @@ impl ShardedEngine {
         })
     }
 
-    /// Runs `f` across the shards with the engine's supervision-aware
-    /// targeting and chaos injection — the fan-out primitive for layers
-    /// executing general query trees on the engine's pool. Slots are
-    /// full-length (`None` for shards that did not answer); callers
-    /// decide their own partial-coverage policy. Safe to merge partially
-    /// only for computations with no cross-shard coupling (exhaustive
-    /// evaluation; anything sharing a pruning threshold must go through
-    /// the query methods instead).
-    pub fn run_shards<T, F>(&self, f: F) -> ShardRun<T>
-    where
-        F: Fn(usize, &InvertedIndex, &mut DecodeScratch) -> T + Send + Sync + 'static,
-        T: Send + 'static,
-    {
-        let n = self.num_shards();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if let Some(victim) = self.chaos.kill(seq) {
-            if victim < self.pool.num_workers() {
-                self.pool.kill_worker(victim);
-            }
-        }
-        let mut alive = self.pool.ready_shards();
-        if alive.is_empty() {
-            alive = (0..n).collect();
-        }
-        let chaos = self.chaos.clone();
-        self.pool.run_on(Some(&alive), move |s, shard, scratch| {
-            if let Some(d) = chaos.sabotage_stall(seq, s) {
-                std::thread::sleep(d);
-            }
-            if chaos.sabotage_panic(seq, s) {
-                panic!("injected shard panic fault (seq {seq}, shard {s})");
-            }
-            f(s, shard, scratch)
-        })
-    }
-
     /// The fail-soft fan-out driver behind every query shape.
     ///
     /// `shard_fn` runs one shard's query; it receives the shared
-    /// cross-shard threshold only in pruned mode. Exhaustive shards are
-    /// independent, so survivors merge directly whatever failed. Pruned
-    /// shards exchange thresholds through [`SharedThreshold`], so a shard
-    /// that published thresholds and then failed mid-run may have
+    /// cross-shard threshold only when `exchange` is set. Independent
+    /// shards merge their survivors directly whatever failed. Shards that
+    /// exchange thresholds through [`SharedThreshold`] are coupled: a
+    /// shard that published thresholds and then failed mid-run may have
     /// over-pruned the survivors — in that case the query reruns
     /// restricted to the survivors with a fresh threshold (and a primer
     /// re-chosen among them, tolerating the best shard being the missing
     /// one). Each rerun loses at least one shard, so the loop is bounded.
+    /// An `Err` from any shard is an index-plane failure, not an
+    /// availability one, and fails the query.
     fn fan_out<F>(
         &self,
         k: usize,
+        exchange: bool,
         primer_term: Option<TermId>,
         shard_fn: F,
     ) -> Result<ShardedOutcome, IndexError>
@@ -1212,7 +1179,7 @@ impl ShardedEngine {
                 Option<&SharedThreshold>,
                 &mut OpCounts,
                 &mut DecodeScratch,
-            ) -> Vec<Hit>
+            ) -> Result<Vec<Hit>, IndexError>
             + Clone
             + Send
             + Sync
@@ -1239,7 +1206,7 @@ impl ShardedEngine {
             // (the serial fraction that would otherwise cap scaling).
             let mut primer = OpCounts::default();
             if let Some(id) = primer_term {
-                if self.pruned && alive.len() > 1 {
+                if exchange && alive.len() > 1 {
                     let shards = self.pool.index().shards();
                     let best = alive
                         .iter()
@@ -1261,7 +1228,6 @@ impl ShardedEngine {
             let chaos = self.chaos.clone();
             let f = shard_fn.clone();
             let sh = Arc::clone(&shared);
-            let pruned_mode = self.pruned;
             let run = self.pool.run_on(Some(&alive), move |s, shard, scratch| {
                 if let Some(d) = chaos.sabotage_stall(seq, s) {
                     std::thread::sleep(d);
@@ -1270,18 +1236,20 @@ impl ShardedEngine {
                     panic!("injected shard panic fault (seq {seq}, shard {s})");
                 }
                 let mut counts = OpCounts::default();
-                let hits = f(shard, pruned_mode.then_some(&*sh), &mut counts, scratch);
-                (hits, counts)
+                f(shard, exchange.then_some(&*sh), &mut counts, scratch)
+                    .map(|hits| (hits, counts))
             });
-            let survivors: Vec<usize> = (0..n).filter(|&s| run.slots[s].is_some()).collect();
+            let slots =
+                run.slots.into_iter().map(Option::transpose).collect::<Result<Vec<_>, _>>()?;
+            let survivors: Vec<usize> = (0..n).filter(|&s| slots[s].is_some()).collect();
             if survivors.is_empty() {
                 return Err(IndexError::CorruptIndex { context: "all shards unavailable" });
             }
             if self.fail_closed && survivors.len() < n {
                 return Err(IndexError::CorruptIndex { context: "shard execution failed" });
             }
-            if !pruned_mode || survivors.len() == alive.len() {
-                return self.merge_outcome(run.slots, k, primer);
+            if !exchange || survivors.len() == alive.len() {
+                return self.merge_outcome(slots, k, primer);
             }
             // Pruned mode lost a threshold-exchange participant mid-run:
             // rerun on the survivors only.
@@ -1299,11 +1267,18 @@ impl ShardedEngine {
     /// [`Self::with_fail_closed`], if any shard could not).
     pub fn search_single(&self, term: &str, k: usize) -> Result<ShardedOutcome, IndexError> {
         let id = self.resolve(term)?;
-        self.fan_out(k, Some(id), move |shard, shared, counts, scratch| match shared {
-            Some(sh) => {
-                pruned::search_single_pruned_shared(shard, id, k, counts, scratch, Some(sh))
-            }
-            None => exhaustive_single(shard, id, k, counts, scratch),
+        self.fan_out(k, self.pruned, Some(id), move |shard, shared, counts, scratch| {
+            Ok(match shared {
+                Some(sh) => pruned::search_single_pruned_shared(
+                    shard,
+                    id,
+                    k,
+                    counts,
+                    scratch,
+                    Some(sh),
+                ),
+                None => exhaustive_single(shard, id, k, counts, scratch),
+            })
         })
     }
 
@@ -1326,13 +1301,13 @@ impl ShardedEngine {
         // the order swaps locally (hits are symmetric, only work differs).
         let (ga, gb) =
             if self.global_df(ia) <= self.global_df(ib) { (ia, ib) } else { (ib, ia) };
-        self.fan_out(k, None, move |shard, shared, counts, scratch| {
+        self.fan_out(k, self.pruned, None, move |shard, shared, counts, scratch| {
             let (short_id, long_id) = if shard.term_info(ga).df <= shard.term_info(gb).df {
                 (ga, gb)
             } else {
                 (gb, ga)
             };
-            match shared {
+            Ok(match shared {
                 Some(sh) => pruned::search_intersection_pruned_shared(
                     shard,
                     short_id,
@@ -1343,7 +1318,7 @@ impl ShardedEngine {
                     Some(sh),
                 ),
                 None => exhaustive_intersection(shard, short_id, long_id, k, counts, scratch),
-            }
+            })
         })
     }
 
@@ -1362,12 +1337,43 @@ impl ShardedEngine {
     ) -> Result<ShardedOutcome, IndexError> {
         let ia = self.resolve(term_a)?;
         let ib = self.resolve(term_b)?;
-        self.fan_out(k, None, move |shard, shared, counts, scratch| match shared {
-            Some(sh) => {
-                pruned::search_union_pruned_shared(shard, ia, ib, k, counts, scratch, Some(sh))
-            }
-            None => exhaustive_union(shard, ia, ib, k, counts, scratch),
+        self.fan_out(k, self.pruned, None, move |shard, shared, counts, scratch| {
+            Ok(match shared {
+                Some(sh) => pruned::search_union_pruned_shared(
+                    shard,
+                    ia,
+                    ib,
+                    k,
+                    counts,
+                    scratch,
+                    Some(sh),
+                ),
+                None => exhaustive_union(shard, ia, ib, k, counts, scratch),
+            })
         })
+    }
+
+    /// Fans a caller-supplied per-shard top-k search out, in either mode:
+    /// `search` runs on each shard's index, returns that shard's top `k`
+    /// hits in [`rank_cmp`] order over local docIDs and tallies its work.
+    /// This is how general expression trees execute sharded. Shards share
+    /// no threshold, so a failed shard never reruns the others: the merge
+    /// covers the survivors, exactly over their documents.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first shard's `Err`, and [`IndexError::CorruptIndex`]
+    /// if no shard could answer (or, under [`Self::with_fail_closed`], if
+    /// any shard could not).
+    pub fn search_with<F>(&self, k: usize, search: F) -> Result<ShardedOutcome, IndexError>
+    where
+        F: Fn(&InvertedIndex, &mut OpCounts) -> Result<Vec<Hit>, IndexError>
+            + Clone
+            + Send
+            + Sync
+            + 'static,
+    {
+        self.fan_out(k, false, None, move |shard, _, counts, _| search(shard, counts))
     }
 }
 

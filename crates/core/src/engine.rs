@@ -23,6 +23,7 @@ use iiu_index::shard::ShardedIndex;
 use iiu_index::{DocId, Fixed, IndexError, InvertedIndex, PositionIndex, ShardChaosPlan};
 use iiu_sim::{HostModel, IiuMachine, SimConfig, SimQuery};
 
+use crate::daat;
 use crate::error::{Degradation, SearchError};
 use crate::query::Query;
 
@@ -68,6 +69,26 @@ impl SearchResponse {
     /// True if any part of the query was pruned rather than served.
     pub fn is_degraded(&self) -> bool {
         !self.degraded.is_empty()
+    }
+
+    /// A CPU engine's response: the modeled time splits into device work
+    /// and the top-k phase.
+    fn priced(
+        hits: Vec<Hit>,
+        candidates: u64,
+        phases: PhaseBreakdown,
+        degraded: Vec<Degradation>,
+    ) -> Self {
+        SearchResponse {
+            hits,
+            candidates,
+            breakdown: LatencyBreakdown {
+                dispatch_ns: 0.0,
+                device_ns: phases.total_ns() - phases.topk_ns,
+                topk_ns: phases.topk_ns,
+            },
+            degraded,
+        }
     }
 
     /// The empty response a fully-pruned query yields.
@@ -209,7 +230,9 @@ fn prune_tree(
 
 /// Evaluates an expression tree over decoded, scored lists (the §4.5
 /// "operations on an uncompressed list" path), accumulating operation
-/// counts for the cost model.
+/// counts for the cost model. This materializing evaluator is the
+/// exhaustive reference the cursor evaluator (DESIGN.md §20) is proven
+/// against; only exhaustive-mode [`CpuSearchEngine`] runs it.
 fn eval_tree(
     index: &InvertedIndex,
     q: &Query,
@@ -306,17 +329,20 @@ impl<'a> CpuSearchEngine<'a> {
         self
     }
 
-    /// Enables block-max pruned top-k for the primitive query shapes
-    /// (single term, two-term AND/OR). Results are bit-identical to the
-    /// exhaustive mode; general expression trees always evaluate
-    /// exhaustively.
+    /// Enables the top-k-fused execution mode: block-max pruned top-k for
+    /// the primitive query shapes (single term, two-term AND/OR), and the
+    /// document-at-a-time cursor evaluator (DESIGN.md §20) for every
+    /// other query, which decodes only candidate blocks and keeps k hits
+    /// instead of every scored posting. Results are bit-identical to the
+    /// exhaustive mode, whose trees run the materializing reference
+    /// evaluator.
     #[must_use]
     pub fn with_pruning(mut self, pruned: bool) -> Self {
         self.inner.set_pruning(pruned);
         self
     }
 
-    /// True when primitive shapes use block-max pruning.
+    /// True in the top-k-fused mode (see [`Self::with_pruning`]).
     pub fn pruning(&self) -> bool {
         self.inner.pruning()
     }
@@ -350,34 +376,21 @@ impl SearchEngine for CpuSearchEngine<'_> {
             },
         };
         if let Some(o) = outcome {
-            let device_ns = o.phases.total_ns() - o.phases.topk_ns;
-            return Ok(SearchResponse {
-                hits: o.hits,
-                candidates: o.candidates,
-                breakdown: LatencyBreakdown {
-                    dispatch_ns: 0.0,
-                    device_ns,
-                    topk_ns: o.phases.topk_ns,
-                },
-                degraded,
-            });
+            return Ok(SearchResponse::priced(o.hits, o.candidates, o.phases, degraded));
         }
 
         // General expression tree.
+        let index = self.inner.index();
         let mut counts = OpCounts::default();
-        let scored = eval_tree(self.inner.index(), query, &mut counts, self.positions)?;
-        counts.topk_candidates = scored.len() as u64;
+        let hits = if self.inner.pruning() {
+            daat::search_tree(index, query, self.positions, k, &mut counts)?
+        } else {
+            let scored = eval_tree(index, query, &mut counts, self.positions)?;
+            counts.topk_candidates = scored.len() as u64;
+            to_hits(&scored, k)
+        };
         let phases = self.inner.cost_model().price(&counts);
-        Ok(SearchResponse {
-            hits: to_hits(&scored, k),
-            candidates: scored.len() as u64,
-            breakdown: LatencyBreakdown {
-                dispatch_ns: 0.0,
-                device_ns: phases.total_ns() - phases.topk_ns,
-                topk_ns: phases.topk_ns,
-            },
-            degraded,
-        })
+        Ok(SearchResponse::priced(hits, counts.topk_candidates, phases, degraded))
     }
 }
 
@@ -388,14 +401,16 @@ impl SearchEngine for CpuSearchEngine<'_> {
 /// The baseline engine fanned across document shards, behind the
 /// [`SearchEngine`] interface.
 ///
-/// Primitive shapes (single term, two-term AND/OR) execute on every shard
-/// in parallel — pruned mode exchanges a shared threshold between shards —
-/// and merge under the common rank order, so hits are bit-identical to
-/// [`CpuSearchEngine`] over the unsharded index. General expression trees
-/// also fan out: each shard evaluates the whole tree over its documents
-/// exhaustively, and the host merges the scored lists. Phrase queries need
-/// the (global-docID) positional sidecar and are not supported sharded;
-/// they fail with [`IndexError::PositionsUnavailable`].
+/// Every query executes on every shard in parallel and the per-shard
+/// top-k lists merge under the common rank order, so hits are
+/// bit-identical to [`CpuSearchEngine`] over the unsharded index. Primitive
+/// shapes (single term, two-term AND/OR) run the baseline's shard paths —
+/// pruned mode exchanges a shared threshold between shards. General
+/// expression trees run the document-at-a-time cursor evaluator
+/// (DESIGN.md §20) on each shard in both modes, each shard keeping only
+/// its own top k. Phrase queries need the (global-docID) positional
+/// sidecar and are not supported sharded; they fail with
+/// [`IndexError::PositionsUnavailable`].
 ///
 /// The modeled latency prices the critical-path (slowest) shard plus the
 /// host-side merge, not the sum of all shards.
@@ -445,7 +460,9 @@ impl ShardedSearchEngine {
     }
 
     /// Enables block-max pruned top-k with cross-shard threshold sharing
-    /// for the primitive query shapes. Bit-identical to exhaustive mode.
+    /// for the primitive query shapes (single term, two-term AND/OR).
+    /// Expression trees run the per-shard cursor evaluator in both modes.
+    /// Bit-identical to exhaustive mode.
     #[must_use]
     pub fn with_pruning(mut self, pruned: bool) -> Self {
         self.inner = self.inner.with_pruning(pruned);
@@ -507,100 +524,20 @@ impl ShardedSearchEngine {
                 _ => None,
             },
         };
-        if let Some(o) = outcome {
-            if !o.missing.is_empty() {
-                degraded.push(Degradation::ShardsUnavailable {
-                    missing: o.missing.clone(),
-                    total: o.total,
-                });
+        let o = match outcome {
+            Some(o) => o,
+            None => {
+                let q = query.clone();
+                self.inner.search_with(k, move |shard, counts| {
+                    daat::search_tree(shard, &q, None, k, counts)
+                })?
             }
-            let device_ns = o.phases.total_ns() - o.phases.topk_ns;
-            return Ok(SearchResponse {
-                hits: o.hits,
-                candidates: o.candidates,
-                breakdown: LatencyBreakdown {
-                    dispatch_ns: 0.0,
-                    device_ns,
-                    topk_ns: o.phases.topk_ns,
-                },
-                degraded,
-            });
-        }
-
-        let (hits, candidates, phases, missing) = self.eval_sharded(query, k)?;
-        if !missing.is_empty() {
+        };
+        if !o.missing.is_empty() {
             degraded
-                .push(Degradation::ShardsUnavailable { missing, total: self.num_shards() });
+                .push(Degradation::ShardsUnavailable { missing: o.missing, total: o.total });
         }
-        Ok(SearchResponse {
-            hits,
-            candidates,
-            breakdown: LatencyBreakdown {
-                dispatch_ns: 0.0,
-                device_ns: phases.total_ns() - phases.topk_ns,
-                topk_ns: phases.topk_ns,
-            },
-            degraded,
-        })
-    }
-
-    /// Fans a general expression tree out: every shard evaluates the whole
-    /// tree over its own documents, the host concatenates (mapping local
-    /// docIDs to global) and selects top-k. Fail-soft: shards that do not
-    /// answer (panic, deadline, quarantine, dead worker) are reported in
-    /// the returned `missing` list and the merge covers the survivors —
-    /// exhaustive tree evaluation has no cross-shard coupling, so the
-    /// surviving hits are exact over the surviving documents. An
-    /// index-plane `Err` from any shard still fails the query: that is a
-    /// data problem, not an availability problem.
-    fn eval_sharded(
-        &self,
-        query: &Query,
-        k: usize,
-    ) -> Result<(Vec<Hit>, u64, PhaseBreakdown, Vec<usize>), SearchError> {
-        let q = query.clone();
-        let per_shard = self
-            .inner
-            .run_shards(move |_, shard, _| {
-                let mut counts = OpCounts::default();
-                let scored = eval_tree(shard, &q, &mut counts, None);
-                scored.map(|s| (s, counts))
-            })
-            .slots;
-        let n = self.num_shards() as u32;
-        let cost = self.inner.cost_model();
-        let mut all = Vec::new();
-        let mut missing = Vec::new();
-        let mut crit = PhaseBreakdown::default();
-        for (s, r) in per_shard.into_iter().enumerate() {
-            let Some(r) = r else {
-                missing.push(s);
-                continue;
-            };
-            let (scored, mut counts) = r?;
-            counts.topk_candidates = scored.len() as u64;
-            let phases = cost.price(&counts);
-            if phases.total_ns() > crit.total_ns() {
-                crit = phases;
-            }
-            all.extend(scored.into_iter().map(|(d, sc)| (d * n + s as u32, sc)));
-        }
-        if missing.len() == self.num_shards() {
-            return Err(SearchError::Index(IndexError::CorruptIndex {
-                context: "all shards unavailable",
-            }));
-        }
-        if self.inner.fail_closed() && !missing.is_empty() {
-            return Err(SearchError::Index(IndexError::CorruptIndex {
-                context: "shard execution failed",
-            }));
-        }
-        crit.topk_ns += cost.price_topk(all.len() as u64);
-        let candidates = all.len() as u64;
-        // Global docID order is what rank_cmp ties on; sort so to_hits sees
-        // the same candidate order as the unsharded evaluation.
-        all.sort_by_key(|&(d, _)| d);
-        Ok((to_hits(&all, k), candidates, crit, missing))
+        Ok(SearchResponse::priced(o.hits, o.candidates, o.phases, degraded))
     }
 }
 

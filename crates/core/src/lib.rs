@@ -36,6 +36,7 @@
 //! # }
 //! ```
 
+mod daat;
 pub mod engine;
 pub mod error;
 pub mod live;
@@ -58,4 +59,6 @@ pub use iiu_index::{
 };
 pub use iiu_sim::SimError;
 pub use live::LiveIndex;
-pub use query::{ParseQueryError, Query};
+pub use query::{
+    ParseQueryError, ParseQueryErrorKind, Query, MAX_QUERY_DEPTH, MAX_QUERY_TERMS,
+};

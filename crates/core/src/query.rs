@@ -5,9 +5,24 @@
 //! operators like `(L0 ∪ L1) ∩ (L2 ∪ L3)`" are binary expression trees
 //! whose leaves are terms. A small recursive-descent parser accepts the
 //! conventional textual form with `AND` binding tighter than `OR`.
+//!
+//! Parsing is bounded: at most [`MAX_QUERY_DEPTH`] nested parentheses and
+//! [`MAX_QUERY_TERMS`] words per query. Everything downstream (pruning,
+//! display, evaluation, drop) recurses over the tree, so an unbounded input
+//! would overflow a worker's stack instead of failing with a typed error.
 
 use std::error::Error;
 use std::fmt;
+
+/// Deepest parenthesis nesting [`Query::parse`] accepts. Generated
+/// workloads nest at most a few levels; this is far above any of them and
+/// far below what the recursive descent could reach on a worker's stack.
+pub const MAX_QUERY_DEPTH: usize = 64;
+
+/// Most words (terms plus phrase words) [`Query::parse`] accepts. A chain
+/// of `n` operators builds a tree `n` nodes deep, so this also bounds the
+/// depth of every recursion over a parsed tree.
+pub const MAX_QUERY_TERMS: usize = 1024;
 
 /// A boolean search query.
 ///
@@ -63,15 +78,16 @@ impl Query {
     /// # Errors
     ///
     /// Returns [`ParseQueryError`] on empty input, unbalanced parentheses,
-    /// or dangling operators.
+    /// dangling operators, nesting deeper than [`MAX_QUERY_DEPTH`] or more
+    /// than [`MAX_QUERY_TERMS`] words.
     pub fn parse(input: &str) -> Result<Self, ParseQueryError> {
         let tokens = lex(input)?;
         let mut pos = 0usize;
         let q = parse_or(&tokens, &mut pos)?;
         if pos != tokens.len() {
-            return Err(ParseQueryError {
-                message: format!("unexpected trailing input at token {pos}"),
-            });
+            return Err(ParseQueryError::syntax(format!(
+                "unexpected trailing input at token {pos}"
+            )));
         }
         Ok(q)
     }
@@ -137,10 +153,33 @@ impl fmt::Display for Query {
     }
 }
 
+/// What kind of input [`Query::parse`] refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseQueryErrorKind {
+    /// Malformed input: empty, unbalanced, dangling operator, bad term.
+    Syntax,
+    /// Parentheses nested deeper than [`MAX_QUERY_DEPTH`].
+    TooDeep,
+    /// More than [`MAX_QUERY_TERMS`] words.
+    TooManyTerms,
+}
+
 /// Error from [`Query::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseQueryError {
+    kind: ParseQueryErrorKind,
     message: String,
+}
+
+impl ParseQueryError {
+    fn syntax(message: impl Into<String>) -> Self {
+        ParseQueryError { kind: ParseQueryErrorKind::Syntax, message: message.into() }
+    }
+
+    /// Which rule the input broke.
+    pub fn kind(&self) -> ParseQueryErrorKind {
+        self.kind
+    }
 }
 
 impl fmt::Display for ParseQueryError {
@@ -164,43 +203,73 @@ enum Token {
 fn lex_term(term: &str) -> Result<String, ParseQueryError> {
     let t = term.to_lowercase();
     if t.chars().any(|c| !c.is_alphanumeric()) {
-        return Err(ParseQueryError {
-            message: format!("term {term:?} contains non-alphanumeric characters"),
-        });
+        return Err(ParseQueryError::syntax(format!(
+            "term {term:?} contains non-alphanumeric characters"
+        )));
     }
     Ok(t)
 }
 
 fn lex(input: &str) -> Result<Vec<Token>, ParseQueryError> {
-    // Split out double-quoted phrases first, then tokenize the rest.
+    // Split out double-quoted phrases first, then tokenize the rest. The
+    // size bounds are checked here, before the parser recurses.
     let mut tokens = Vec::new();
+    let (mut depth, mut words) = (0usize, 0usize);
+    let too_many_terms = || ParseQueryError {
+        kind: ParseQueryErrorKind::TooManyTerms,
+        message: format!("more than {MAX_QUERY_TERMS} terms"),
+    };
     for (i, segment) in input.split('"').enumerate() {
         if i % 2 == 1 {
             // Inside quotes: an exact phrase.
-            let words: Result<Vec<String>, _> =
+            let words_in: Result<Vec<String>, _> =
                 segment.split_whitespace().map(lex_term).collect();
-            let words = words?;
-            if words.is_empty() {
-                return Err(ParseQueryError { message: "empty phrase".into() });
+            let words_in = words_in?;
+            if words_in.is_empty() {
+                return Err(ParseQueryError::syntax("empty phrase"));
             }
-            tokens.push(Token::Phrase(words));
+            words += words_in.len();
+            if words > MAX_QUERY_TERMS {
+                return Err(too_many_terms());
+            }
+            tokens.push(Token::Phrase(words_in));
             continue;
         }
         for raw in segment.replace('(', " ( ").replace(')', " ) ").split_whitespace() {
             tokens.push(match raw {
-                "(" => Token::LParen,
-                ")" => Token::RParen,
+                "(" => {
+                    depth += 1;
+                    if depth > MAX_QUERY_DEPTH {
+                        return Err(ParseQueryError {
+                            kind: ParseQueryErrorKind::TooDeep,
+                            message: format!(
+                                "parentheses nested deeper than {MAX_QUERY_DEPTH}"
+                            ),
+                        });
+                    }
+                    Token::LParen
+                }
+                ")" => {
+                    depth = depth.saturating_sub(1);
+                    Token::RParen
+                }
                 "AND" => Token::And,
                 "OR" => Token::Or,
-                term => Token::Term(lex_term(term)?),
+                term => {
+                    words += 1;
+                    if words > MAX_QUERY_TERMS {
+                        return Err(too_many_terms());
+                    }
+                    Token::Term(lex_term(term)?)
+                }
             });
         }
     }
     if input.matches('"').count() % 2 == 1 {
-        return Err(ParseQueryError { message: "unbalanced quotes".into() });
+        return Err(ParseQueryError::syntax("unbalanced quotes"));
     }
     if tokens.is_empty() {
-        return Err(ParseQueryError { message: "empty query".into() });
+        return Err(ParseQueryError::syntax("empty query"));
     }
     Ok(tokens)
 }
@@ -243,14 +312,12 @@ fn parse_atom(tokens: &[Token], pos: &mut usize) -> Result<Query, ParseQueryErro
             *pos += 1;
             let q = parse_or(tokens, pos)?;
             if !matches!(tokens.get(*pos), Some(Token::RParen)) {
-                return Err(ParseQueryError { message: "missing closing parenthesis".into() });
+                return Err(ParseQueryError::syntax("missing closing parenthesis"));
             }
             *pos += 1;
             Ok(q)
         }
-        other => {
-            Err(ParseQueryError { message: format!("expected term or '(', got {other:?}") })
-        }
+        other => Err(ParseQueryError::syntax(format!("expected term or '(', got {other:?}"))),
     }
 }
 
@@ -315,6 +382,30 @@ mod tests {
         assert!(Query::parse("(a OR b").is_err());
         assert!(Query::parse("a b").is_err());
         assert!(Query::parse("a&b").is_err());
+        assert_eq!(Query::parse("(a").unwrap_err().kind(), ParseQueryErrorKind::Syntax);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let deep = format!("{}a{}", "(".repeat(100_000), ")".repeat(100_000));
+        let err = Query::parse(&deep).unwrap_err();
+        assert_eq!(err.kind(), ParseQueryErrorKind::TooDeep);
+        let ok = format!("{}a{}", "(".repeat(MAX_QUERY_DEPTH), ")".repeat(MAX_QUERY_DEPTH));
+        assert_eq!(Query::parse(&ok).unwrap(), Query::term("a"));
+    }
+
+    #[test]
+    fn long_chains_are_a_typed_error_not_a_stack_overflow() {
+        let chain = vec!["t"; 1_000_000].join(" AND ");
+        let err = Query::parse(&chain).unwrap_err();
+        assert_eq!(err.kind(), ParseQueryErrorKind::TooManyTerms);
+        let phrase = format!("\"{}\"", vec!["w"; MAX_QUERY_TERMS + 1].join(" "));
+        assert_eq!(
+            Query::parse(&phrase).unwrap_err().kind(),
+            ParseQueryErrorKind::TooManyTerms
+        );
+        let at_limit = vec!["t"; MAX_QUERY_TERMS].join(" OR ");
+        assert_eq!(Query::parse(&at_limit).unwrap().size(), 2 * MAX_QUERY_TERMS - 1);
     }
 
     #[test]

@@ -6,13 +6,20 @@
 //! on random corpora and on the deterministic sampled workload. It also
 //! pins the threshold-broadcast protocol: a seeded two-shard publication
 //! interleaving must stay monotone and never price out a boundary tie.
+//! Expression trees run the cursor evaluator on every shard and merge the
+//! per-shard top-k lists; they must match the unsharded exhaustive engine,
+//! including ties at the k-th position split across shards, and stay exact
+//! over the surviving documents when a shard fails.
 
 use std::sync::Arc;
 
 use iiu_baseline::topk::{rank_cmp, top_k, Hit, SharedThreshold};
 use iiu_baseline::{CpuEngine, ShardedEngine};
+use iiu_core::{CpuSearchEngine, Degradation, Query, SearchEngine, ShardedSearchEngine};
 use iiu_index::shard::ShardedIndex;
-use iiu_index::{BuildOptions, Fixed, IndexBuilder, InvertedIndex, Partitioner};
+use iiu_index::{
+    BuildOptions, Fixed, IndexBuilder, InvertedIndex, Partitioner, ShardChaosPlan,
+};
 use iiu_workloads::{CorpusConfig, QuerySampler};
 use proptest::prelude::*;
 
@@ -81,6 +88,152 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Random AND/OR trees up to depth 3 over `t0..t7`.
+fn arb_tree() -> impl Strategy<Value = Query> {
+    let leaf = (0u8..8).prop_map(|t| Query::term(format!("t{t}")));
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Query::and(a, b)),
+            (inner.clone(), inner).prop_map(|(a, b)| Query::or(a, b)),
+        ]
+    })
+}
+
+/// Shard counts the tree suites cover.
+const TREE_SHARDS: [usize; 4] = [1, 2, 3, 4];
+
+/// Tree shapes every corpus is checked on besides the random ones.
+const TREE_SHAPES: [&str; 4] = [
+    "(t0 OR t1) AND t2",
+    "(t0 AND t1) OR t2",
+    "t0 AND (t0 OR t1)",
+    "(t1 OR t2) AND (t3 OR t4)",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random corpora × trees × shard counts × both modes × [`KS`]: the
+    /// sharded engine's per-shard cursor evaluation, merged, equals the
+    /// unsharded exhaustive engine hit for hit and candidate for
+    /// candidate.
+    #[test]
+    fn prop_sharded_trees_match_unsharded_exhaustive(
+        docs in proptest::collection::vec(
+            proptest::collection::vec(0u8..8, 1..24),
+            1..40,
+        ),
+        random in proptest::collection::vec(arb_tree(), 4),
+    ) {
+        let mut docs = docs;
+        docs.push((0..8).collect());
+        let idx = build_index(&docs);
+        let mut trees: Vec<Query> =
+            TREE_SHAPES.iter().map(|s| Query::parse(s).expect("valid shape")).collect();
+        trees.extend(random.into_iter().filter(|q| !q.is_primitive()));
+        let mut reference = CpuSearchEngine::new(&idx);
+        for n in TREE_SHARDS {
+            let split = Arc::new(ShardedIndex::split(&idx, n).expect("split"));
+            for pruned in [false, true] {
+                let eng = ShardedSearchEngine::new(Arc::clone(&split)).with_pruning(pruned);
+                for q in &trees {
+                    for k in KS {
+                        let want = reference.search(q, k).expect("reference search");
+                        let got = eng.search_ref(q, k).expect("sharded search");
+                        prop_assert_eq!(&got.hits, &want.hits, "{} n={} pruned={} k={}", q, n, pruned, k);
+                        prop_assert_eq!(got.candidates, want.candidates, "{} n={} k={}", q, n, k);
+                        prop_assert_eq!(&got.degraded, &want.degraded);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Equal scores at the k-th position, spread round-robin over the shards:
+/// every shard holds some of the tied documents, and the global answer
+/// must keep the lowest global docIDs among them. Merging per-shard lists
+/// in shard order into an arrival-order top-k would keep shard 0's ties
+/// instead.
+#[test]
+fn tied_scores_at_the_kth_position_merge_in_global_docid_order() {
+    let mut b = IndexBuilder::new(BuildOptions {
+        partitioner: Partitioner::fixed(4),
+        ..Default::default()
+    });
+    // Two score groups of identical documents: the short ones rank first.
+    for d in 0..30 {
+        b.add_document(if d % 3 == 0 { "alpha beta gamma delta" } else { "alpha beta gamma" });
+    }
+    let idx = b.build();
+    let short: Vec<u32> = (0..30).filter(|d| d % 3 != 0).collect();
+    let q = Query::parse("(alpha OR beta) AND gamma").expect("valid");
+    let mut reference = CpuSearchEngine::new(&idx);
+    let top5 = reference.search(&q, 5).expect("reference").hits;
+    assert_eq!(top5.iter().map(|h| h.doc_id).collect::<Vec<_>>(), short[..5]);
+    for n in [2usize, 3, 4] {
+        let split = Arc::new(ShardedIndex::split(&idx, n).expect("split"));
+        for pruned in [false, true] {
+            let eng = ShardedSearchEngine::new(Arc::clone(&split)).with_pruning(pruned);
+            for k in 0..=31 {
+                let want = reference.search(&q, k).expect("reference");
+                let got = eng.search_ref(&q, k).expect("sharded");
+                assert_eq!(got.hits, want.hits, "n={n} pruned={pruned} k={k}");
+                assert_eq!(got.candidates, 30);
+            }
+        }
+    }
+}
+
+/// A shard that panics on every query: tree answers report it through
+/// [`Degradation::ShardsUnavailable`] and are exact over the surviving
+/// shards' documents — the unsharded ranking with the missing shard's
+/// documents removed.
+#[test]
+fn a_panicking_shard_leaves_exact_tree_hits_over_the_survivors() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or("");
+        if !msg.contains("injected") {
+            default_hook(info);
+        }
+    }));
+    let index = CorpusConfig::tiny(0xC0FFEE).generate().into_default_index();
+    let mut sampler = QuerySampler::new(&index, 9);
+    let t = sampler.single_queries(4);
+    let trees = [
+        format!("({} OR {}) AND {}", t[0], t[1], t[2]),
+        format!("({} AND {}) OR {}", t[0], t[1], t[3]),
+        format!("{} OR {} OR {}", t[1], t[2], t[3]),
+    ];
+    let (n, failed) = (3usize, 1usize);
+    let chaos =
+        ShardChaosPlan { panic_burst: Some((0, u64::MAX, failed)), ..ShardChaosPlan::NONE };
+    let mut reference = CpuSearchEngine::new(&index);
+    let all_k = index.num_docs() as usize + 1;
+    for pruned in [false, true] {
+        let eng = ShardedSearchEngine::split(&index, n)
+            .expect("split")
+            .with_pruning(pruned)
+            .with_chaos(chaos.clone());
+        for text in &trees {
+            let q = Query::parse(text).expect("valid");
+            let mut survivors = reference.search(&q, all_k).expect("reference").hits;
+            survivors.retain(|h| h.doc_id as usize % n != failed);
+            for k in KS {
+                let got = eng.search_ref(&q, k).expect("partial answer");
+                assert_eq!(
+                    got.degraded,
+                    vec![Degradation::ShardsUnavailable { missing: vec![failed], total: n }],
+                    "{text} pruned={pruned} k={k}"
+                );
+                assert_eq!(got.hits, survivors[..k.min(survivors.len())], "{text} k={k}");
+                assert_eq!(got.candidates, survivors.len() as u64, "{text} k={k}");
             }
         }
     }

@@ -3,10 +3,19 @@
 //! scoring for every query shape, every k (including k = 0 and k larger
 //! than the result set), on random corpora and on the deterministic
 //! sampled workload — and it must actually skip work on skewed lists.
+//! Expression trees extend the claim to the cursor evaluator: in pruned
+//! mode every non-primitive query runs document-at-a-time over posting
+//! cursors, and it must match the materializing exhaustive evaluator hit
+//! for hit and candidate for candidate.
 
 use iiu_baseline::CpuEngine;
 use iiu_core::{CpuSearchEngine, IiuSearchEngine, Query, SearchEngine};
-use iiu_index::{BuildOptions, IndexBuilder, InvertedIndex, Partitioner};
+use std::collections::BTreeMap;
+
+use iiu_index::{
+    io, storage, Bm25Params, BuildOptions, CodecId, IndexBuilder, InvertedIndex, Partitioner,
+    Posting, PostingList,
+};
 use iiu_workloads::{CorpusConfig, QuerySampler};
 use proptest::prelude::*;
 
@@ -26,8 +35,119 @@ fn build_index(docs: &[Vec<u8>]) -> InvertedIndex {
     b.build()
 }
 
+/// Builds an index under `codec` from term-rank docs (`t{rank}` words),
+/// with fixed 4-posting blocks and one extra dictionary term, `empty`,
+/// whose list has no postings.
+fn build_tree_index(docs: &[Vec<u8>], codec: CodecId) -> InvertedIndex {
+    let mut tfs: BTreeMap<String, BTreeMap<u32, u32>> = BTreeMap::new();
+    for (d, doc) in docs.iter().enumerate() {
+        for t in doc {
+            *tfs.entry(format!("t{t}")).or_default().entry(d as u32).or_default() += 1;
+        }
+    }
+    let mut lists: Vec<(String, PostingList)> = tfs
+        .into_iter()
+        .map(|(term, docs)| {
+            let postings = docs.into_iter().map(|(d, tf)| Posting::new(d, tf)).collect();
+            (term, PostingList::from_sorted(postings))
+        })
+        .collect();
+    lists.push(("empty".into(), PostingList::default()));
+    let doc_lens = docs.iter().map(|d| d.len() as u32).collect();
+    InvertedIndex::from_lists_codec(
+        lists,
+        doc_lens,
+        Partitioner::fixed(4),
+        Bm25Params::default(),
+        codec,
+    )
+    .expect("valid lists")
+}
+
+/// Random AND/OR trees up to depth 3 over `t0..t7` and `empty`.
+fn arb_tree() -> impl Strategy<Value = Query> {
+    let leaf = prop_oneof![
+        (0u8..8).prop_map(|t| Query::term(format!("t{t}"))),
+        Just(Query::term("empty")),
+    ];
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Query::and(a, b)),
+            (inner.clone(), inner).prop_map(|(a, b)| Query::or(a, b)),
+        ]
+    })
+}
+
+/// Tree shapes every corpus is checked on besides the random ones:
+/// OR under AND, AND under OR, a repeated term, and an empty-list leaf
+/// under each operator.
+const TREE_SHAPES: [&str; 7] = [
+    "(t0 OR t1) AND t2",
+    "(t0 AND t1) OR t2",
+    "t0 AND (t0 OR t1)",
+    "(t1 OR t2) AND (t1 OR t3) AND t4",
+    "(empty OR t0) AND t1",
+    "(empty AND t0) OR t1",
+    "empty AND (t0 OR t1)",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random corpora × AND/OR trees × every codec × heap and mapped
+    /// sources × [`KS`]: the pruned engine (cursor evaluator) returns the
+    /// exhaustive engine's (materializing `eval_tree`) hits bit for bit,
+    /// and for trees the same candidate count. (Pruned primitive shapes
+    /// count only the candidates they push, so their counts differ by
+    /// design; one doc holding every word keeps unknown-term pruning from
+    /// turning a tree into a primitive.)
+    #[test]
+    fn prop_cursor_trees_match_exhaustive(
+        docs in proptest::collection::vec(
+            proptest::collection::vec(0u8..8, 1..24),
+            1..40,
+        ),
+        random in proptest::collection::vec(arb_tree(), 6),
+    ) {
+        let mut docs = docs;
+        docs.push((0..8).collect());
+        let mut trees: Vec<Query> =
+            TREE_SHAPES.iter().map(|s| Query::parse(s).expect("valid shape")).collect();
+        trees.extend(random);
+        let reference = build_tree_index(&docs, CodecId::BitPack);
+        let mut exhaustive = CpuSearchEngine::new(&reference);
+        let path = std::env::temp_dir().join(format!("iiu-topk-tree-{}", std::process::id()));
+        for codec in CodecId::ALL {
+            let heap = build_tree_index(&docs, codec);
+            std::fs::write(&path, io::serialize(&heap).expect("serialize"))
+                .expect("temp file writable");
+            let mapped = storage::map_index(&path).expect("mapped load");
+            prop_assert!(mapped.source().is_mapped());
+            for (source, index) in [("heap", &heap), ("mmap", &mapped)] {
+                for pruned in [false, true] {
+                    let mut engine = CpuSearchEngine::new(index).with_pruning(pruned);
+                    for q in &trees {
+                        for k in KS {
+                            let want = exhaustive.search(q, k).expect("reference search");
+                            let got = engine.search(q, k).expect("search");
+                            prop_assert_eq!(
+                                &got.hits, &want.hits,
+                                "{} {} pruned={} {} k={}", codec, source, pruned, q, k
+                            );
+                            if !q.is_primitive() {
+                                prop_assert_eq!(
+                                    got.candidates, want.candidates,
+                                    "{} {} pruned={} {} k={}", codec, source, pruned, q, k
+                                );
+                            }
+                            prop_assert_eq!(&got.degraded, &want.degraded);
+                        }
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 
     /// Random corpora, all three query shapes, all of [`KS`]: pruned and
     /// exhaustive engines return bit-identical hit lists.

@@ -33,16 +33,24 @@ done
 cargo build --release --workspace
 cargo test -q --workspace
 
-# Pruned top-k equivalence (DESIGN.md §13): release-mode run of the
-# property suite proving block-max pruned search is bit-identical to
-# exhaustive scoring across query shapes, k values, and engines.
+# Pruned top-k equivalence (DESIGN.md §13, §20): release-mode run of the
+# property suite proving block-max pruned search and the cursor tree
+# evaluator are bit-identical to exhaustive scoring across query shapes,
+# k values, codecs, index sources, and engines.
 cargo test --release --test topk_equivalence -q
 
-# Sharded-search equivalence (DESIGN.md §14): release-mode proof that the
-# document-sharded engine returns bit-identical hits (score and docID
+# Sharded-search equivalence (DESIGN.md §14, §20): release-mode proof that
+# the document-sharded engine returns bit-identical hits (score and docID
 # order) to the unsharded engine across shard counts and query shapes,
-# including under the cross-shard shared threshold.
+# including under the cross-shard shared threshold, and for expression
+# trees merged from per-shard cursor top-k lists.
 cargo test --release --test shard_equivalence -q
+
+# Wall-clock benchmark arithmetic (perfbench/README.md): the unit tests of
+# the benchmark's percentile, median and window arithmetic. perfbench is a
+# Cargo package of its own, outside the workspace, so the workspace test
+# run above does not reach it. Runs in both modes (it takes seconds).
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 # Acceptance soak for the resilient serving layer (DESIGN.md §10): 10k
 # queries open-loop at 2x the measured sustainable rate with injected
