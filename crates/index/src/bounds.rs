@@ -23,9 +23,10 @@
 //! posting, paid once per index build.
 //!
 //! Bounds are derived data: every construction path
-//! ([`crate::InvertedIndex::from_lists`]) recomputes them from the
-//! postings, so v1/v2 index files load with bounds available and the v3
-//! reader can cross-check the persisted section against the recomputation.
+//! ([`crate::InvertedIndex::from_lists`]) computes them from the postings,
+//! a shard manifest's loader recomputes them, and
+//! [`crate::InvertedIndex::validate`] holds a plain file's stored section
+//! against the recomputation.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -79,12 +80,16 @@ impl ListBounds {
     }
 
     /// Recomputes bounds from an encoded list by decoding every block —
-    /// the oracle [`crate::InvertedIndex::validate`] and the v3 file
-    /// reader hold stored bounds against.
+    /// the oracle [`crate::InvertedIndex::validate`] holds stored bounds
+    /// against. The decode doubles as the content check of the postings:
+    /// docIDs must be strictly increasing and inside `dl_bars`.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::CorruptIndex`] if a block fails to decode.
+    /// Returns [`IndexError::CorruptIndex`] if a block fails to decode, a
+    /// docID does not exceed its predecessor, or a docID lies beyond
+    /// `dl_bars`; a lazily verified list's
+    /// [`IndexError::ChecksumMismatch`] verbatim.
     pub fn recompute(
         list: &EncodedList,
         idf_bar: Fixed,
@@ -94,13 +99,20 @@ impl ListBounds {
         let mut max_tfs = Vec::with_capacity(list.num_blocks());
         let mut max_ub = Fixed::ZERO;
         let mut block = Vec::new();
+        let mut prev = None;
         for b in 0..list.num_blocks() {
             block.clear();
             list.try_decode_block_into(b, &mut block)?;
             let mut ub = Fixed::ZERO;
             let mut max_tf = 0u32;
             for p in &block {
-                let dl = dl_bars.get(p.doc_id as usize).copied().unwrap_or(Fixed::ZERO);
+                if prev.is_some_and(|d| p.doc_id <= d) {
+                    return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
+                }
+                prev = Some(p.doc_id);
+                let dl = *dl_bars.get(p.doc_id as usize).ok_or(IndexError::CorruptIndex {
+                    context: "posting list references docID beyond corpus",
+                })?;
                 ub = ub.max(term_score_fixed(idf_bar, dl, p.tf));
                 max_tf = max_tf.max(p.tf);
             }
@@ -111,7 +123,7 @@ impl ListBounds {
         Ok(ListBounds { ubs, max_tfs, max_ub })
     }
 
-    /// Constructs bounds from raw per-block values (the v3 file reader).
+    /// Constructs bounds from raw per-block values (the file parser).
     pub fn from_raw_parts(ubs: Vec<Fixed>, max_tfs: Vec<u32>) -> Self {
         let max_ub = ubs.iter().copied().max().unwrap_or(Fixed::ZERO);
         ListBounds { ubs, max_tfs, max_ub }

@@ -2,10 +2,11 @@
 //! index format carries per-section integrity checks without pulling in a
 //! dependency.
 //!
-//! The format v2 writer checksums every section of the serialized index
-//! (header, doc-length table, each term record) and finishes with a
-//! whole-file footer; the reader verifies each section before trusting its
-//! contents. See [`crate::io`] for the layout.
+//! The writer checksums every section of the serialized index (header,
+//! doc-length table, each term record, the score bounds) and finishes
+//! with a whole-file footer; the parser verifies each section before
+//! trusting its contents. See [`crate::io`] for the layout and
+//! [`crate::storage`] for when each checksum is verified.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -32,7 +32,7 @@ pub enum IndexError {
         /// What was being parsed when the failure occurred.
         context: &'static str,
     },
-    /// A section checksum did not match its contents (format v2).
+    /// A section or footer checksum did not match its contents.
     ChecksumMismatch {
         /// Which section failed (e.g. `"header"`, `"doc length table"`,
         /// `"term record"`, `"footer"`).

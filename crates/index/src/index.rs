@@ -19,9 +19,9 @@ use crate::stats::IndexSizeStats;
 /// Dense identifier of a term in the index dictionary.
 pub type TermId = u32;
 
-/// Where an index's payload bytes live: owned heap memory (built in RAM or
-/// deserialized the classic way) or a window of a memory-mapped index file
-/// (the zero-copy storage layer, [`crate::storage`]).
+/// Where an index's payload bytes live: heap memory (built in RAM, or a
+/// heap load's owned copy of the file) or a window of a memory-mapped
+/// index file (the zero-copy storage layer, [`crate::storage`]).
 ///
 /// This is reporting/bookkeeping only — every consumer reads postings
 /// through the same `&[u8]` accessors regardless of source.
@@ -272,9 +272,9 @@ impl InvertedIndex {
         })
     }
 
-    /// Assembles an index directly from already-encoded parts — the
-    /// zero-copy load path ([`crate::storage`]), which must not decode and
-    /// re-encode every list the way [`crate::io::deserialize`] does.
+    /// Assembles an index directly from already-encoded parts — the one
+    /// load path ([`crate::storage`]), which never decodes and re-encodes
+    /// a list.
     ///
     /// The caller is responsible for having validated `lists` (the
     /// [`EncodedList::from_stored_parts`] constructor does) and `bounds`
@@ -473,19 +473,22 @@ impl InvertedIndex {
         &self.dl_bars
     }
 
-    /// Checks every structural invariant the query hot path relies on:
-    /// each encoded list passes [`EncodedList::validate`], the dictionary
-    /// and term table agree, and the per-document tables are sized to the
-    /// corpus.
+    /// Checks every invariant the query hot path relies on, decoding every
+    /// list once: each list's record CRC holds (lists loaded from a file
+    /// carry one) and it passes [`EncodedList::validate`], its docIDs are
+    /// strictly increasing and inside the corpus, its stored score bounds
+    /// equal a recomputation from its postings, the dictionary and term
+    /// table agree, and the per-document tables are sized to the corpus.
     ///
-    /// A [`deserialize`](crate::io::deserialize)d index always passes (the
-    /// reader rebuilds lists from decoded postings); this is the
-    /// belt-and-braces check for indexes assembled by other means, and the
-    /// oracle the fault-injection harness holds accepted loads against.
+    /// [`deserialize`](crate::io::deserialize) runs this on every load; a
+    /// mapped index defers it (see [`crate::storage`]), and `iiu inspect`
+    /// runs it on both.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::CorruptIndex`] naming the violated invariant.
+    /// Returns [`IndexError::ChecksumMismatch`] for a corrupt term record
+    /// and [`IndexError::CorruptIndex`] naming any other violated
+    /// invariant.
     pub fn validate(&self) -> Result<(), IndexError> {
         if self.terms.len() != self.lists.len() {
             return Err(IndexError::CorruptIndex { context: "term/list count mismatch" });
@@ -507,6 +510,7 @@ impl InvertedIndex {
             if list.codec() != self.codec {
                 return Err(IndexError::CorruptIndex { context: "list/index codec mismatch" });
             }
+            list.ensure_verified()?;
             list.validate()?;
             if info.df != list.num_postings() {
                 return Err(IndexError::CorruptIndex { context: "document frequency" });
@@ -519,7 +523,8 @@ impl InvertedIndex {
                 }
             }
             // Pruning correctness rests on the bounds, so hold them to the
-            // decode-and-recompute oracle, not just structural checks.
+            // decode-and-recompute oracle, not just structural checks. The
+            // recompute also checks the docIDs.
             let bounds = &self.bounds[id];
             bounds.validate_against(list)?;
             if *bounds != ListBounds::recompute(list, info.idf_bar, &self.dl_bars)? {

@@ -1,4 +1,5 @@
-//! Binary index file format.
+//! Binary index file format: its layout, its one writer, and the heap
+//! loaders.
 //!
 //! The host's `init(file invFile)` primitive (paper §4.1) loads the inverted
 //! index from a file into the memory region the accelerator reads. This
@@ -6,16 +7,12 @@
 //! magic/version word, the BM25 parameters, the document-length table, and
 //! one record per term (name, metadata words, skip values, payload bytes).
 //!
-//! # Format v4 (current)
-//!
-//! Version 4 extends the v3 layout with a block-codec id byte inside the
-//! CRC-protected header — the codec every posting-list payload is encoded
-//! with (see [`crate::codec::CodecId`]):
+//! # Format v4
 //!
 //! ```text
 //! magic/version            u64   (MAGIC, not covered by a section CRC)
 //! header                   k1 f64 · b f64 · partitioner (u8 kind + u32 arg)
-//!                          · codec u8 (v4 only)
+//!                          · codec u8
 //!                          · num_docs u64 · num_terms u64      + crc32 u32
 //! doc-length table         num_docs × u32                      + crc32 u32
 //! term record (× num_terms)
@@ -24,43 +21,40 @@
 //!                          · num_blocks × meta u64
 //!                          · num_blocks × skip u32
 //!                          · payload_len u64 · payload bytes   + crc32 u32
-//! score bounds (v3+)       per term: num_blocks u64
+//! score bounds             per term: num_blocks u64
 //!                          · num_blocks × (ub_raw u32 · max_tf u32)
 //!                          whole section                       + crc32 u32
 //! footer                   crc32 u32 over every preceding byte
 //! ```
 //!
-//! [`deserialize`] verifies each section checksum before trusting its
-//! contents, then rebuilds every posting list by decoding it (bounds
-//! checked) and re-encoding, so a malformed file yields a typed
-//! [`IndexError`] — never a panic or an out-of-bounds read. The codec id
-//! is interpreted only after the header CRC verifies: random corruption
-//! of the byte surfaces as a checksum mismatch, while a CRC-consistent
-//! id this build does not implement is the typed
-//! [`IndexError::UnknownCodec`]. A CRC-consistent *flip* to a different
-//! valid codec decodes the payloads as garbage and is rejected by the
-//! monotonic-docID check or the score-bounds recomputation oracle. The
-//! score bounds section is additionally held against a full recomputation
-//! from the decoded postings: a CRC-consistent file whose stored bounds
-//! disagree with the postings is rejected (`score bounds mismatch`)
-//! rather than silently pruning wrong results. Version 3 (no codec byte —
-//! always the bit-packed codec), version 2 (no bounds section) and
-//! version 1 files (no checksums) remain readable — bounds are derived
-//! data, recomputed on every load path — and unknown versions are
-//! rejected with [`IndexError::UnsupportedFormat`].
+//! The codec byte names the [`CodecId`] every payload is encoded with. A
+//! shard manifest ([`MAGIC_SHARD_V3`]) carries the same header, doc table
+//! and term records once per shard.
+//!
+//! Each section's bytes come from one function here; [`serialize`] is
+//! [`StreamingWriter`] writing into a `Vec`. Every reader is the one parser
+//! in [`crate::storage`], whose module docs state the integrity contract:
+//! what the parser checks eagerly, what it checks lazily on first touch,
+//! and what [`deserialize`] and [`InvertedIndex::validate`] add. Earlier
+//! formats (plain v1–v3, manifest v1–v2) are refused with
+//! [`IndexError::UnsupportedFormat`], like any unknown magic.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::block::{BlockMeta, EncodedList};
+use std::sync::Arc;
+
+use crate::block::EncodedList;
 use crate::bounds::ListBounds;
 use crate::checksum::{crc32, Crc32};
 use crate::codec::CodecId;
 use crate::error::IndexError;
-use crate::index::InvertedIndex;
+use crate::index::{InvertedIndex, TermId};
+use crate::mmap::Mmap;
 use crate::partition::Partitioner;
 use crate::posting::PostingList;
 use crate::score::{Bm25Params, Fixed};
 use crate::shard::ShardedIndex;
+use crate::storage::{self, Reader};
 
 /// Little-endian append helpers over the output buffer (the serialized
 /// format is defined in terms of these primitives).
@@ -94,94 +88,36 @@ impl PutLe for Vec<u8> {
     }
 }
 
-/// Magic + version identifying the current format ("IIUX" + 0x0004).
+/// Magic + version identifying the plain index format ("IIUX" + 0x0004).
 pub const MAGIC: u64 = 0x4949_5558_0000_0004;
 
-/// Magic + version of the v3 format (score bounds, no codec id byte —
-/// the bit-packed codec implicitly), still accepted by [`deserialize`].
-pub const MAGIC_V3: u64 = 0x4949_5558_0000_0003;
-
-/// Magic + version of the v2 format (checksums, no score bounds
-/// section), still accepted by [`deserialize`].
-pub const MAGIC_V2: u64 = 0x4949_5558_0000_0002;
-
-/// Magic + version of the legacy checksum-free format ("IIUX" + 0x0001),
-/// still accepted by [`deserialize`].
-pub const MAGIC_V1: u64 = 0x4949_5558_0000_0001;
-
-/// Magic + version of the legacy sharded-manifest format ("IIUS" +
-/// 0x0001), still accepted by [`deserialize_sharded`].
-///
-/// Identical to [`MAGIC_SHARD_V2`] except the header carries no
-/// per-shard body-length table, so a scanner cannot locate shard `s+1`
-/// without successfully parsing shard `s` — [`scan_sharded`] degrades to
-/// stop-at-first-error on these files.
-pub const MAGIC_SHARD: u64 = 0x4949_5553_0000_0001;
-
-/// Magic + version of the legacy v2 sharded-manifest format ("IIUS" +
-/// 0x0002).
+/// Magic + version of the shard-manifest format ("IIUS" + 0x0003).
 ///
 /// A shard manifest is *not* N concatenated plain files: every shard is
 /// built with the global collection statistics (avgdl, per-term idf̄),
 /// which cannot be recomputed from a shard's own postings. The manifest
 /// therefore carries those statistics once, up front, followed by one
-/// checksummed body (the v2/v3 header + doc table + term records) per
+/// checksummed body (the v4 header + doc table + term records) per
 /// shard:
 ///
 /// ```text
-/// magic/version      u64  (MAGIC_SHARD_V2 / MAGIC_SHARD_V3)
+/// magic/version      u64  (MAGIC_SHARD_V3)
 /// shard header       num_shards u32 · global num_docs u64 · avgdl f64
 ///                    · parent partitioner (u8 kind + u32 arg)
 ///                    · num_terms u64 · num_terms × idf̄ raw u32
 ///                    · num_shards × body byte-length u64        + crc32
-/// shard body (× N)   the checksummed body layout of the plain formats
+/// shard body (× N)   header · doc-length table · term records
 /// footer             crc32 u32 over every preceding byte
 /// ```
 ///
-/// The body-length table (new in manifest v2) lets [`scan_sharded`]
-/// locate every shard body independently, so a single corrupt shard is
-/// reported as *that shard* failing its CRC cross-check while the
-/// remaining shards still get scanned.
+/// The body-length table lets [`scan_sharded`] locate every shard body
+/// independently, so a single corrupt shard is reported as *that shard*
+/// failing its CRC cross-check while the remaining shards still get
+/// scanned.
 ///
-/// Per-shard score bounds are derived data (recomputed from the decoded
-/// postings plus the manifest's global statistics on load, exactly as a
-/// v2 file's bounds are), so they are not stored.
-pub const MAGIC_SHARD_V2: u64 = 0x4949_5553_0000_0002;
-
-/// Magic + version of the current sharded-manifest format ("IIUS" +
-/// 0x0003): identical to [`MAGIC_SHARD_V2`] except every shard body
-/// carries the v4-style codec id byte in its header, so shards can be
-/// encoded with any [`CodecId`]. v2 and v1 manifests stay readable
-/// (their bodies are implicitly bit-packed).
+/// Per-shard score bounds are derived data (recomputed from the postings
+/// plus the manifest's global statistics on load), so they are not stored.
 pub const MAGIC_SHARD_V3: u64 = 0x4949_5553_0000_0003;
-
-/// Serializes `index` to bytes in format v4 (the index's block codec is
-/// recorded in the CRC-protected header).
-///
-/// # Errors
-///
-/// Returns [`IndexError::UnknownTerm`] if the index's dictionary is
-/// inconsistent with its term table (an internal-corruption guard that
-/// replaces the old panic on this path).
-pub fn serialize(index: &InvertedIndex) -> Result<Vec<u8>, IndexError> {
-    let mut buf = Vec::new();
-    buf.put_u64_le(MAGIC);
-    write_checksummed_body(&mut buf, index, true)?;
-
-    let bounds_start = buf.len();
-    for bounds in index.bounds() {
-        buf.put_u64_le(bounds.num_blocks() as u64);
-        for (ub, &max_tf) in bounds.ubs().iter().zip(bounds.max_tfs()) {
-            buf.put_u32_le(ub.raw());
-            buf.put_u32_le(max_tf);
-        }
-    }
-    seal_section(&mut buf, bounds_start);
-
-    let footer = crc32(&buf);
-    buf.put_u32_le(footer);
-    Ok(buf)
-}
 
 /// Appends a section CRC over `buf[start..]`.
 fn seal_section(buf: &mut Vec<u8>, start: usize) {
@@ -189,73 +125,102 @@ fn seal_section(buf: &mut Vec<u8>, start: usize) {
     buf.put_u32_le(crc);
 }
 
-/// Writes the checksummed body shared by the plain formats and the shard
-/// manifest: header, doc-length table, and one sealed record per term.
-/// `with_codec` selects the v4-style header carrying the codec id byte
-/// (current formats) versus the legacy 37-byte header (v2/v3 bodies).
-fn write_checksummed_body(
-    buf: &mut Vec<u8>,
-    index: &InvertedIndex,
-    with_codec: bool,
-) -> Result<(), IndexError> {
-    let header_start = buf.len();
-    buf.put_f64_le(index.params().k1);
-    buf.put_f64_le(index.params().b);
-    match index.partitioner() {
-        Partitioner::Fixed { block_len } => {
-            buf.put_u8(0);
-            buf.put_u32_le(block_len as u32);
-        }
-        Partitioner::Dynamic { max_size } => {
-            buf.put_u8(1);
-            buf.put_u32_le(max_size as u32);
-        }
-    }
-    if with_codec {
-        buf.put_u8(index.codec().as_u8());
-    }
-    buf.put_u64_le(index.num_docs());
-    buf.put_u64_le(index.num_terms() as u64);
-    seal_section(buf, header_start);
-
-    let doc_start = buf.len();
-    for &l in index.doc_lens() {
-        buf.put_u32_le(l);
-    }
-    seal_section(buf, doc_start);
-
-    for info in index.terms() {
-        let id = index
-            .term_id(&info.term)
-            .ok_or_else(|| IndexError::UnknownTerm { term: info.term.clone() })?;
-        let list = index.encoded_list(id);
-        let record_start = buf.len();
-        buf.put_u32_le(info.term.len() as u32);
-        buf.put_slice(info.term.as_bytes());
-        buf.put_u64_le(list.num_postings());
-        buf.put_u64_le(list.num_blocks() as u64);
-        for meta in list.metas() {
-            buf.put_u64_le(meta.pack());
-        }
-        for &skip in list.skips() {
-            buf.put_u32_le(skip);
-        }
-        buf.put_u64_le(list.payload().len() as u64);
-        buf.put_slice(list.payload());
-        seal_section(buf, record_start);
-    }
-    Ok(())
+fn put_partitioner(buf: &mut Vec<u8>, partitioner: Partitioner) {
+    let (kind, arg) = match partitioner {
+        Partitioner::Fixed { block_len } => (0, block_len),
+        Partitioner::Dynamic { max_size } => (1, max_size),
+    };
+    buf.put_u8(kind);
+    buf.put_u32_le(arg as u32);
 }
 
-/// Serializes a sharded index as a v3 shard manifest (see
-/// [`MAGIC_SHARD_V2`] for the shared layout and [`MAGIC_SHARD_V3`] for
-/// the codec-id difference).
+/// Writes the sealed header section of a plain file or shard body.
+fn write_header(
+    buf: &mut Vec<u8>,
+    params: Bm25Params,
+    partitioner: Partitioner,
+    codec: CodecId,
+    num_docs: u64,
+    num_terms: u64,
+) {
+    let start = buf.len();
+    buf.put_f64_le(params.k1);
+    buf.put_f64_le(params.b);
+    put_partitioner(buf, partitioner);
+    buf.put_u8(codec.as_u8());
+    buf.put_u64_le(num_docs);
+    buf.put_u64_le(num_terms);
+    seal_section(buf, start);
+}
+
+/// Writes the sealed document-length table.
+fn write_doc_table(buf: &mut Vec<u8>, doc_lens: &[u32]) {
+    let start = buf.len();
+    buf.reserve(doc_lens.len() * 4 + 4);
+    for &l in doc_lens {
+        buf.put_u32_le(l);
+    }
+    seal_section(buf, start);
+}
+
+/// Writes one sealed term record.
+fn write_term_record(buf: &mut Vec<u8>, term: &str, list: &EncodedList) {
+    let start = buf.len();
+    buf.put_u32_le(term.len() as u32);
+    buf.put_slice(term.as_bytes());
+    buf.put_u64_le(list.num_postings());
+    buf.put_u64_le(list.num_blocks() as u64);
+    for meta in list.metas() {
+        buf.put_u64_le(meta.pack());
+    }
+    for &skip in list.skips() {
+        buf.put_u32_le(skip);
+    }
+    buf.put_u64_le(list.payload().len() as u64);
+    buf.put_slice(list.payload());
+    seal_section(buf, start);
+}
+
+/// Appends one term's entry of the score-bounds section (the section is
+/// sealed once, after its last entry).
+fn write_bounds_entry(buf: &mut Vec<u8>, bounds: &ListBounds) {
+    buf.put_u64_le(bounds.num_blocks() as u64);
+    for (ub, &max_tf) in bounds.ubs().iter().zip(bounds.max_tfs()) {
+        buf.put_u32_le(ub.raw());
+        buf.put_u32_le(max_tf);
+    }
+}
+
+/// Serializes `index` to bytes in format v4 (the index's block codec is
+/// recorded in the CRC-protected header).
+///
+/// # Errors
+///
+/// Never fails for a well-formed index; the `Result` is the writer's
+/// ([`StreamingWriter`] into a `Vec`, whose term count check cannot trip).
+pub fn serialize(index: &InvertedIndex) -> Result<Vec<u8>, IndexError> {
+    let mut writer = StreamingWriter::new(
+        Vec::new(),
+        index.doc_lens(),
+        index.num_terms() as u64,
+        index.partitioner(),
+        index.params(),
+        index.codec(),
+    )?;
+    for (id, info) in index.terms().iter().enumerate() {
+        let id = id as TermId;
+        writer.push_encoded(&info.term, index.encoded_list(id), index.list_bounds(id))?;
+    }
+    writer.finish()
+}
+
+/// Serializes a sharded index as a shard manifest (see
+/// [`MAGIC_SHARD_V3`] for the layout).
 ///
 /// # Errors
 ///
 /// Returns [`IndexError::CorruptIndex`] if the sharded index has no
-/// shards or its shard dictionaries disagree, and [`IndexError::UnknownTerm`]
-/// on an internally inconsistent shard dictionary.
+/// shards or its shard dictionaries disagree.
 pub fn serialize_sharded(sharded: &ShardedIndex) -> Result<Vec<u8>, IndexError> {
     let Some(first) = sharded.shards().first() else {
         return Err(IndexError::CorruptIndex { context: "sharded index has no shards" });
@@ -268,7 +233,18 @@ pub fn serialize_sharded(sharded: &ShardedIndex) -> Result<Vec<u8>, IndexError> 
             return Err(IndexError::CorruptIndex { context: "shard dictionaries disagree" });
         }
         let mut body = Vec::new();
-        write_checksummed_body(&mut body, shard, true)?;
+        write_header(
+            &mut body,
+            shard.params(),
+            shard.partitioner(),
+            shard.codec(),
+            shard.num_docs(),
+            shard.num_terms() as u64,
+        );
+        write_doc_table(&mut body, shard.doc_lens());
+        for (id, info) in shard.terms().iter().enumerate() {
+            write_term_record(&mut body, &info.term, shard.encoded_list(id as TermId));
+        }
         bodies.push(body);
     }
 
@@ -279,16 +255,7 @@ pub fn serialize_sharded(sharded: &ShardedIndex) -> Result<Vec<u8>, IndexError> 
     buf.put_u32_le(sharded.num_shards() as u32);
     buf.put_u64_le(sharded.num_docs());
     buf.put_f64_le(first.avgdl());
-    match sharded.parent_partitioner() {
-        Partitioner::Fixed { block_len } => {
-            buf.put_u8(0);
-            buf.put_u32_le(block_len as u32);
-        }
-        Partitioner::Dynamic { max_size } => {
-            buf.put_u8(1);
-            buf.put_u32_le(max_size as u32);
-        }
-    }
+    put_partitioner(&mut buf, sharded.parent_partitioner());
     buf.put_u64_le(first.num_terms() as u64);
     for info in first.terms() {
         buf.put_u32_le(info.idf_bar.raw());
@@ -307,19 +274,19 @@ pub fn serialize_sharded(sharded: &ShardedIndex) -> Result<Vec<u8>, IndexError> 
     Ok(buf)
 }
 
-/// Streams a format-v4 index file one term at a time, producing output
-/// byte-identical to [`serialize`] over the same inputs without ever
-/// holding the whole index — or the whole file — in memory.
+/// Streams a format-v4 index file one term at a time without ever
+/// holding the whole index — or the whole file — in memory. [`serialize`]
+/// is this writer over a `Vec`.
 ///
 /// The v4 header carries `num_docs`/`num_terms` and the footer CRC
 /// covers every preceding byte, so construction takes the complete
 /// document-length table and the term count up front and immediately
 /// emits magic, header, and doc table while folding them into a running
 /// [`Crc32`]. Each [`push_term`](Self::push_term) call then encodes one
-/// posting list, writes its sealed record, and accumulates that list's
-/// score bounds; [`finish`](Self::finish) emits the bounds section and
-/// the footer. Peak memory is one encoded list plus the per-document
-/// (4 + 4 bytes/doc) and per-block (16 bytes/block) tables —
+/// posting list, writes its sealed record, and appends that list's
+/// score-bounds entry; [`finish`](Self::finish) emits the bounds section
+/// and the footer. Peak memory is one encoded list plus the per-document
+/// (4 + 4 bytes/doc) and per-block (8 bytes/block) tables —
 /// independent of the total posting count, which is what lets `iiu gen`
 /// stream a million-document corpus to disk with bounded RSS.
 ///
@@ -335,8 +302,10 @@ pub struct StreamingWriter<W: std::io::Write> {
     n_docs: u64,
     /// Per-document `dl̄` table, shared by every list's bound computation.
     dl_bars: Vec<Fixed>,
-    /// Score bounds accumulated per pushed term, emitted by `finish`.
-    bounds: Vec<ListBounds>,
+    /// The score-bounds section so far, sealed and emitted by `finish`.
+    bounds: Vec<u8>,
+    /// Reused buffer each section is rendered into before it is emitted.
+    scratch: Vec<u8>,
     expected_terms: u64,
     written_terms: u64,
 }
@@ -375,37 +344,16 @@ impl<W: std::io::Write> StreamingWriter<W> {
             codec,
             n_docs,
             dl_bars,
-            bounds: Vec::with_capacity(usize::try_from(num_terms).unwrap_or(0)),
+            bounds: Vec::new(),
+            scratch: Vec::new(),
             expected_terms: num_terms,
             written_terms: 0,
         };
-        writer.emit(&MAGIC.to_le_bytes())?;
-
-        let mut header = Vec::new();
-        header.put_f64_le(params.k1);
-        header.put_f64_le(params.b);
-        match partitioner {
-            Partitioner::Fixed { block_len } => {
-                header.put_u8(0);
-                header.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                header.put_u8(1);
-                header.put_u32_le(max_size as u32);
-            }
-        }
-        header.put_u8(codec.as_u8());
-        header.put_u64_le(n_docs);
-        header.put_u64_le(num_terms);
-        seal_section(&mut header, 0);
-        writer.emit(&header)?;
-
-        let mut table = Vec::with_capacity(doc_lens.len() * 4 + 4);
-        for &l in doc_lens {
-            table.put_u32_le(l);
-        }
-        seal_section(&mut table, 0);
-        writer.emit(&table)?;
+        writer.emit(|buf| {
+            buf.put_u64_le(MAGIC);
+            write_header(buf, params, partitioner, codec, n_docs, num_terms);
+            write_doc_table(buf, doc_lens);
+        })?;
         Ok(writer)
     }
 
@@ -419,11 +367,6 @@ impl<W: std::io::Write> StreamingWriter<W> {
     /// errors from [`EncodedList::encode_with`] verbatim, and
     /// [`IndexError::Io`] if the sink rejects the write.
     pub fn push_term(&mut self, term: &str, list: &PostingList) -> Result<(), IndexError> {
-        if self.written_terms == self.expected_terms {
-            return Err(IndexError::CorruptIndex {
-                context: "more streamed terms than the header declares",
-            });
-        }
         if let Some(last) = list.as_slice().last() {
             if u64::from(last.doc_id) >= self.n_docs {
                 return Err(IndexError::CorruptIndex {
@@ -434,28 +377,25 @@ impl<W: std::io::Write> StreamingWriter<W> {
         let idf_bar = Fixed::from_f64(self.params.idf_bar(self.n_docs, list.len() as u64));
         let partition = self.partitioner.partition_for(list, self.codec);
         let encoded = EncodedList::encode_with(list, &partition, self.codec)?;
-        self.bounds.push(ListBounds::compute(
-            list.as_slice(),
-            &partition,
-            idf_bar,
-            &self.dl_bars,
-        ));
+        let bounds = ListBounds::compute(list.as_slice(), &partition, idf_bar, &self.dl_bars);
+        self.push_encoded(term, &encoded, &bounds)
+    }
 
-        let mut record = Vec::new();
-        record.put_u32_le(term.len() as u32);
-        record.put_slice(term.as_bytes());
-        record.put_u64_le(encoded.num_postings());
-        record.put_u64_le(encoded.num_blocks() as u64);
-        for meta in encoded.metas() {
-            record.put_u64_le(meta.pack());
+    /// Writes an already-encoded list and its score bounds as the next
+    /// term (how [`serialize`] writes an index it holds in memory).
+    fn push_encoded(
+        &mut self,
+        term: &str,
+        list: &EncodedList,
+        bounds: &ListBounds,
+    ) -> Result<(), IndexError> {
+        if self.written_terms == self.expected_terms {
+            return Err(IndexError::CorruptIndex {
+                context: "more streamed terms than the header declares",
+            });
         }
-        for &skip in encoded.skips() {
-            record.put_u32_le(skip);
-        }
-        record.put_u64_le(encoded.payload().len() as u64);
-        record.put_slice(encoded.payload());
-        seal_section(&mut record, 0);
-        self.emit(&record)?;
+        write_bounds_entry(&mut self.bounds, bounds);
+        self.emit(|buf| write_term_record(buf, term, list))?;
         self.written_terms += 1;
         Ok(())
     }
@@ -473,16 +413,11 @@ impl<W: std::io::Write> StreamingWriter<W> {
                 context: "fewer streamed terms than the header declares",
             });
         }
-        let mut section = Vec::new();
-        for bounds in &self.bounds {
-            section.put_u64_le(bounds.num_blocks() as u64);
-            for (ub, &max_tf) in bounds.ubs().iter().zip(bounds.max_tfs()) {
-                section.put_u32_le(ub.raw());
-                section.put_u32_le(max_tf);
-            }
-        }
-        seal_section(&mut section, 0);
-        self.emit(&section)?;
+        let section = std::mem::take(&mut self.bounds);
+        self.emit(|buf| {
+            buf.put_slice(&section);
+            seal_section(buf, 0);
+        })?;
 
         // The footer covers everything already emitted and is itself
         // outside the running checksum.
@@ -492,10 +427,13 @@ impl<W: std::io::Write> StreamingWriter<W> {
         Ok(self.sink)
     }
 
-    /// Writes `bytes` to the sink and folds them into the footer CRC.
-    fn emit(&mut self, bytes: &[u8]) -> Result<(), IndexError> {
-        self.footer.update(bytes);
-        self.sink.write_all(bytes).map_err(stream_io_err)
+    /// Renders bytes into the scratch buffer, writes them to the sink and
+    /// folds them into the footer CRC.
+    fn emit(&mut self, render: impl FnOnce(&mut Vec<u8>)) -> Result<(), IndexError> {
+        self.scratch.clear();
+        render(&mut self.scratch);
+        self.footer.update(&self.scratch);
+        self.sink.write_all(&self.scratch).map_err(stream_io_err)
     }
 }
 
@@ -504,144 +442,86 @@ fn stream_io_err(e: std::io::Error) -> IndexError {
     IndexError::Io { context: "writing streamed index file", message: e.to_string() }
 }
 
-/// Whether `bytes` starts with a shard-manifest magic (either manifest
-/// version) — the dispatch probe loaders use to pick
-/// [`deserialize_sharded`] over [`deserialize`].
+/// Whether `bytes` starts with the shard-manifest magic — the dispatch
+/// probe loaders use to pick [`deserialize_sharded`] over [`deserialize`].
 pub fn is_sharded(bytes: &[u8]) -> bool {
-    if bytes.len() < 8 {
-        return false;
-    }
-    let magic = u64::from_le_bytes([
-        bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-    ]);
-    magic == MAGIC_SHARD || magic == MAGIC_SHARD_V2 || magic == MAGIC_SHARD_V3
+    bytes.get(..8).is_some_and(|m| m == MAGIC_SHARD_V3.to_le_bytes())
 }
 
-/// Deserializes a shard manifest written by [`serialize_sharded`].
-///
-/// Each shard is rebuilt with the manifest's *global* statistics via
-/// [`InvertedIndex::from_lists_with_stats`], then the assembled
-/// [`ShardedIndex`] is held against its cross-shard invariants
-/// (round-robin doc counts, per-shard validation).
+/// Holds `bytes` in an owned buffer the parser can lend payload windows of.
+fn owned(bytes: &[u8]) -> Arc<Mmap> {
+    Arc::new(Mmap::from_vec(bytes.to_vec()))
+}
+
+/// Checks the whole-file footer: the CRC of every byte before it.
+fn verify_footer(bytes: &[u8]) -> Result<(), IndexError> {
+    let n =
+        bytes.len().checked_sub(4).ok_or(IndexError::CorruptIndex { context: "footer" })?;
+    let expected = u32::from_le_bytes([bytes[n], bytes[n + 1], bytes[n + 2], bytes[n + 3]]);
+    let found = crc32(&bytes[..n]);
+    if expected != found {
+        return Err(IndexError::ChecksumMismatch { section: "footer", expected, found });
+    }
+    Ok(())
+}
+
+/// Loads an index file written by [`serialize`] onto the heap: the
+/// parser of [`crate::storage`] over an owned copy of `bytes`, then
+/// [`InvertedIndex::validate`] and the footer CRC. The index reports a
+/// `heap` source.
 ///
 /// # Errors
 ///
-/// Returns [`IndexError::UnsupportedFormat`] on a non-manifest magic,
-/// [`IndexError::ChecksumMismatch`] when a section checksum fails, and
-/// [`IndexError::CorruptIndex`] on truncated or inconsistent content.
+/// Returns [`IndexError::UnsupportedFormat`] on any magic/version word but
+/// [`MAGIC`], [`IndexError::UnknownCodec`] when the header names a codec
+/// this build doesn't know, [`IndexError::ChecksumMismatch`] when a section
+/// or the footer checksum fails, and [`IndexError::CorruptIndex`] on
+/// truncated or inconsistent content — including a score-bounds section
+/// that passes its CRC but disagrees with the bounds recomputed from the
+/// postings.
+pub fn deserialize(bytes: &[u8]) -> Result<InvertedIndex, IndexError> {
+    let index = storage::map_index_from(owned(bytes))?;
+    index.validate()?;
+    verify_footer(bytes)?;
+    Ok(index)
+}
+
+/// Loads a shard manifest written by [`serialize_sharded`] onto the heap,
+/// with the same checks as [`deserialize`]: the parser, then
+/// [`ShardedIndex::validate`] and the footer CRC.
+///
+/// # Errors
+///
+/// Returns [`IndexError::UnsupportedFormat`] on any magic but
+/// [`MAGIC_SHARD_V3`], [`IndexError::ChecksumMismatch`] when a section
+/// checksum fails, and [`IndexError::CorruptIndex`] on truncated or
+/// inconsistent content.
 pub fn deserialize_sharded(bytes: &[u8]) -> Result<ShardedIndex, IndexError> {
+    let sharded = storage::map_sharded_from(owned(bytes))?;
+    sharded.validate()?;
+    verify_footer(bytes)?;
+    Ok(sharded)
+}
+
+/// Cheaply reads the codec id a plain index file's payloads are encoded
+/// with, verifying only the magic and the header-section CRC (no payload
+/// decode).
+///
+/// # Errors
+///
+/// Returns [`IndexError::UnsupportedFormat`] on any magic but [`MAGIC`],
+/// [`IndexError::ChecksumMismatch`] on a corrupt header, and
+/// [`IndexError::UnknownCodec`] on a codec id this build doesn't know.
+pub fn peek_codec(bytes: &[u8]) -> Result<CodecId, IndexError> {
     let mut r = Reader::new(bytes);
-    let magic = r.u64("magic")?;
-    if magic != MAGIC_SHARD && magic != MAGIC_SHARD_V2 && magic != MAGIC_SHARD_V3 {
-        return Err(IndexError::UnsupportedFormat { found: magic });
-    }
-    let header = read_shard_header(&mut r, magic)?;
-    let with_codec = magic == MAGIC_SHARD_V3;
-
-    let mut shards = Vec::with_capacity(header.num_shards.min(r.remaining()));
-    for s in 0..header.num_shards {
-        let body_start = r.pos;
-        let body = read_checksummed_body(&mut r, with_codec)?;
-        if let Some(lens) = &header.body_lens {
-            // A v2/v3 manifest records each body's byte length; a body that
-            // parses but consumed a different span means the length table
-            // and the content disagree (only possible under tampering with
-            // checksums recomputed) — reject rather than trust either.
-            if (r.pos - body_start) as u64 != lens[s] {
-                return Err(IndexError::CorruptIndex {
-                    context: "shard body length mismatch",
-                });
-            }
-        }
-        if body.lists.len() != header.idf_bars.len() {
-            return Err(IndexError::CorruptIndex { context: "shard dictionaries disagree" });
-        }
-        let with_idf = body
-            .lists
-            .into_iter()
-            .zip(&header.idf_bars)
-            .map(|((term, list), &idf)| (term, list, idf))
-            .collect();
-        shards.push(InvertedIndex::from_lists_with_stats_codec(
-            with_idf,
-            body.doc_lens,
-            header.avgdl,
-            body.partitioner,
-            body.params,
-            body.codec,
-        )?);
-    }
-    verify_footer(&mut r)?;
-    ShardedIndex::from_shards(shards, header.n_docs, header.parent_partitioner)
-}
-
-/// Parsed shard-manifest header, shared by [`deserialize_sharded`],
-/// [`scan_sharded`] and the zero-copy loader ([`crate::storage`]).
-pub(crate) struct ShardManifestHeader {
-    pub(crate) num_shards: usize,
-    pub(crate) n_docs: u64,
-    pub(crate) avgdl: f64,
-    pub(crate) parent_partitioner: Partitioner,
-    pub(crate) idf_bars: Vec<Fixed>,
-    /// Per-shard body byte lengths — absent only in legacy v1 manifests.
-    pub(crate) body_lens: Option<Vec<u64>>,
-}
-
-pub(crate) fn read_shard_header(
-    r: &mut Reader<'_>,
-    magic: u64,
-) -> Result<ShardManifestHeader, IndexError> {
-    let header_start = r.pos;
-    let num_shards = r.u32("shard header")? as usize;
-    let n_docs = r.u64("shard header")?;
-    let avgdl = r.f64("shard header")?;
-    let part_kind = r.u8("shard header")?;
-    let part_arg = r.u32("shard header")? as usize;
-    let n_terms = r.u64("shard header")? as usize;
-    let idf_bytes =
-        n_terms.checked_mul(4).ok_or(IndexError::CorruptIndex { context: "shard header" })?;
-    let raw = r.take(idf_bytes, "shard header")?;
-    let idf_bars: Vec<Fixed> = raw
-        .chunks_exact(4)
-        .map(|c| Fixed::from_raw(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-        .collect();
-    // Legacy v1 manifests have no body-length table; v2 and v3 do.
-    let body_lens = if magic != MAGIC_SHARD {
-        let len_bytes = num_shards
-            .checked_mul(8)
-            .ok_or(IndexError::CorruptIndex { context: "shard header" })?;
-        let raw = r.take(len_bytes, "shard header")?;
-        Some(
-            raw.chunks_exact(8)
-                .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                .collect(),
-        )
-    } else {
-        None
-    };
-    r.verify_section(header_start, "shard header", "shard header checksum")?;
-    let parent_partitioner = read_partitioner(part_kind, part_arg)?;
-    if num_shards == 0 {
-        return Err(IndexError::CorruptIndex { context: "shard count must be nonzero" });
-    }
-    if !avgdl.is_finite() || avgdl <= 0.0 {
-        return Err(IndexError::CorruptIndex { context: "shard avgdl" });
-    }
-    Ok(ShardManifestHeader {
-        num_shards,
-        n_docs,
-        avgdl,
-        parent_partitioner,
-        idf_bars,
-        body_lens,
-    })
+    storage::expect_magic(&mut r, MAGIC)?;
+    Ok(storage::parse_header(&mut r)?.codec)
 }
 
 /// CRC cross-check result for one shard body in a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum ShardBodyStatus {
-    /// The body parsed and every section checksum held.
+    /// The body parsed and passed [`InvertedIndex::validate`].
     Ok {
         /// Documents in this shard's doc-length table.
         docs: u64,
@@ -653,16 +533,13 @@ pub enum ShardBodyStatus {
         /// The typed rejection.
         error: IndexError,
     },
-    /// Not reached: a legacy (v1) manifest has no body-length table, so a
-    /// corrupt shard hides every shard after it.
-    Unscanned,
 }
 
 /// Per-shard integrity report over a shard manifest, produced by
 /// [`scan_sharded`] without aborting on the first bad shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardScanReport {
-    /// Manifest format version (1 or 2).
+    /// Manifest format version: always 3, the only one this build reads.
     pub version: u32,
     /// Shard count claimed by the (CRC-verified) header.
     pub num_shards: usize,
@@ -702,519 +579,46 @@ impl ShardScanReport {
 /// Scans a shard manifest, CRC-cross-checking every shard body
 /// *independently* instead of erroring on the first bad one.
 ///
-/// On a v2 or v3 manifest the header's body-length table addresses each
-/// body directly, so one corrupt shard leaves the others scannable. On a
-/// legacy v1 manifest bodies are only reachable sequentially: the scan
-/// stops at the first corrupt body and marks the rest
-/// [`ShardBodyStatus::Unscanned`].
+/// The header's body-length table addresses each body directly, so one
+/// corrupt shard leaves the others scannable. Each body goes through the
+/// parser of [`crate::storage`] and then [`InvertedIndex::validate`], so
+/// [`ShardBodyStatus::Ok`] means every record CRC held.
 ///
 /// # Errors
 ///
-/// Returns [`IndexError::UnsupportedFormat`] on a non-manifest magic and
-/// a typed error if the *header* itself is unreadable — without a valid
-/// header there is no shard layout to scan.
+/// Returns [`IndexError::UnsupportedFormat`] on any magic but
+/// [`MAGIC_SHARD_V3`] and a typed error if the *header* itself is
+/// unreadable — without a valid header there is no shard layout to scan.
 pub fn scan_sharded(bytes: &[u8]) -> Result<ShardScanReport, IndexError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.u64("magic")?;
-    if magic != MAGIC_SHARD && magic != MAGIC_SHARD_V2 && magic != MAGIC_SHARD_V3 {
-        return Err(IndexError::UnsupportedFormat { found: magic });
-    }
-    let header = read_shard_header(&mut r, magic)?;
-    let version = match magic {
-        MAGIC_SHARD_V3 => 3,
-        MAGIC_SHARD_V2 => 2,
-        _ => 1,
-    };
-    let with_codec = magic == MAGIC_SHARD_V3;
-
-    let scan_body = |start: usize, limit: usize| -> (ShardBodyStatus, usize) {
-        if start > limit {
-            let error = IndexError::CorruptIndex { context: "shard body truncated" };
-            return (ShardBodyStatus::Corrupt { error }, start);
-        }
-        let mut br = Reader { buf: &bytes[..limit], pos: start };
-        match read_checksummed_body(&mut br, with_codec) {
-            Ok(body) => {
-                let postings = body.lists.iter().map(|(_, l)| l.len() as u64).sum();
-                (ShardBodyStatus::Ok { docs: body.doc_lens.len() as u64, postings }, br.pos)
-            }
-            Err(error) => (ShardBodyStatus::Corrupt { error }, br.pos),
-        }
-    };
-
-    let mut shards = Vec::with_capacity(header.num_shards);
-    let footer_ok;
-    if let Some(lens) = &header.body_lens {
-        // v2/v3: every body is addressable from the (CRC-verified) length
-        // table, so a corrupt shard is reported in place and the scan
-        // moves on to the next shard.
-        let mut start = r.pos;
-        for &len in lens {
-            let end = start.checked_add(len as usize).filter(|&e| e + 4 <= bytes.len());
-            match end {
-                Some(end) => {
-                    let (status, consumed) = scan_body(start, end);
-                    // A body that parses short of its recorded span was
-                    // spliced; don't let it masquerade as clean.
-                    if consumed != end && matches!(status, ShardBodyStatus::Ok { .. }) {
-                        shards.push(ShardBodyStatus::Corrupt {
-                            error: IndexError::CorruptIndex {
-                                context: "shard body length mismatch",
-                            },
-                        });
-                    } else {
-                        shards.push(status);
-                    }
-                    start = end;
-                }
-                None => {
-                    shards.push(ShardBodyStatus::Corrupt {
-                        error: IndexError::CorruptIndex { context: "shard body length" },
-                    });
-                }
-            }
-        }
-        footer_ok = start + 4 == bytes.len()
-            && crc32(&bytes[..start])
-                == u32::from_le_bytes([
-                    bytes[start],
-                    bytes[start + 1],
-                    bytes[start + 2],
-                    bytes[start + 3],
-                ]);
-    } else {
-        // v1: no length table — bodies are only locatable sequentially.
-        let mut pos = r.pos;
-        let mut dead = false;
-        for _ in 0..header.num_shards {
-            if dead {
-                shards.push(ShardBodyStatus::Unscanned);
+    let map = owned(bytes);
+    let (header, mut start) = storage::parse_manifest_header(bytes)?;
+    let mut shards = Vec::with_capacity(header.body_lens.len());
+    for &len in &header.body_lens {
+        let end = match storage::shard_body_end(start, len, bytes.len()) {
+            Ok(end) => end,
+            Err(error) => {
+                shards.push(ShardBodyStatus::Corrupt { error });
                 continue;
             }
-            let limit = bytes.len().saturating_sub(4);
-            let (status, consumed) = scan_body(pos, limit);
-            dead = matches!(status, ShardBodyStatus::Corrupt { .. });
-            shards.push(status);
-            pos = consumed;
-        }
-        footer_ok = !dead
-            && pos + 4 == bytes.len()
-            && crc32(&bytes[..pos])
-                == u32::from_le_bytes([
-                    bytes[pos],
-                    bytes[pos + 1],
-                    bytes[pos + 2],
-                    bytes[pos + 3],
-                ]);
+        };
+        let scanned = storage::parse_shard(&map, &header, start, end)
+            .and_then(|shard| shard.validate().map(|()| shard));
+        shards.push(match scanned {
+            Ok(shard) => ShardBodyStatus::Ok {
+                docs: shard.num_docs(),
+                postings: shard.terms().iter().map(|t| t.df).sum(),
+            },
+            Err(error) => ShardBodyStatus::Corrupt { error },
+        });
+        start = end;
     }
-
     Ok(ShardScanReport {
-        version,
-        num_shards: header.num_shards,
+        version: 3,
+        num_shards: header.body_lens.len(),
         num_docs: header.n_docs,
         shards,
-        footer_ok,
+        footer_ok: start + 4 == bytes.len() && verify_footer(bytes).is_ok(),
     })
-}
-
-/// A bounds-checked little-endian cursor over the serialized bytes that
-/// remembers its position, so section checksums can be computed over the
-/// exact byte ranges that were parsed. Shared with the zero-copy loader
-/// ([`crate::storage`]), which parses the same layouts over a mapping.
-pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn take(
-        &mut self,
-        n: usize,
-        context: &'static str,
-    ) -> Result<&'a [u8], IndexError> {
-        if self.remaining() < n {
-            return Err(IndexError::CorruptIndex { context });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8, IndexError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    pub(crate) fn u32(&mut self, context: &'static str) -> Result<u32, IndexError> {
-        let s = self.take(4, context)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    pub(crate) fn u64(&mut self, context: &'static str) -> Result<u64, IndexError> {
-        let s = self.take(8, context)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    pub(crate) fn f64(&mut self, context: &'static str) -> Result<f64, IndexError> {
-        Ok(f64::from_bits(self.u64(context)?))
-    }
-
-    /// Reads a stored section checksum and verifies it against the bytes
-    /// parsed since `start`.
-    pub(crate) fn verify_section(
-        &mut self,
-        start: usize,
-        section: &'static str,
-        crc_context: &'static str,
-    ) -> Result<(), IndexError> {
-        let found = crc32(&self.buf[start..self.pos]);
-        let expected = self.u32(crc_context)?;
-        if expected != found {
-            return Err(IndexError::ChecksumMismatch { section, expected, found });
-        }
-        Ok(())
-    }
-}
-
-/// Deserializes an index previously written by [`serialize`] (format v4)
-/// or by the legacy v3 (no codec id), v2 (no bounds section) or v1 (no
-/// checksums) writers.
-///
-/// # Errors
-///
-/// Returns [`IndexError::UnsupportedFormat`] on an unknown magic/version
-/// word, [`IndexError::UnknownCodec`] when a v4 header names a codec this
-/// build doesn't know, [`IndexError::ChecksumMismatch`] when a section
-/// checksum fails, and [`IndexError::CorruptIndex`] on truncated or
-/// inconsistent content — including a score-bounds section that passes
-/// its CRC but disagrees with the bounds recomputed from the postings.
-pub fn deserialize(bytes: &[u8]) -> Result<InvertedIndex, IndexError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.u64("magic")?;
-    match magic {
-        MAGIC => deserialize_bounded(r, true),
-        MAGIC_V3 => deserialize_bounded(r, false),
-        MAGIC_V2 => deserialize_v2(r),
-        MAGIC_V1 => deserialize_v1(r),
-        found => Err(IndexError::UnsupportedFormat { found }),
-    }
-}
-
-/// Cheaply reads the codec id a plain index file's payloads are encoded
-/// with, verifying only the magic and the header-section CRC (no payload
-/// decode). Pre-v4 files report [`CodecId::BitPack`].
-///
-/// # Errors
-///
-/// Returns [`IndexError::UnsupportedFormat`] on an unknown magic,
-/// [`IndexError::ChecksumMismatch`] on a corrupt header, and
-/// [`IndexError::UnknownCodec`] on a codec id this build doesn't know.
-pub fn peek_codec(bytes: &[u8]) -> Result<CodecId, IndexError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.u64("magic")?;
-    match magic {
-        MAGIC => {
-            let start = r.pos;
-            let _ = r.take(21, "header")?; // k1, b, partitioner
-            let raw = r.u8("header")?;
-            let _ = r.take(16, "header")?; // num_docs, num_terms
-            r.verify_section(start, "header", "header checksum")?;
-            CodecId::from_u8(raw)
-        }
-        MAGIC_V3 | MAGIC_V2 | MAGIC_V1 => Ok(CodecId::BitPack),
-        found => Err(IndexError::UnsupportedFormat { found }),
-    }
-}
-
-pub(crate) fn read_partitioner(kind: u8, arg: usize) -> Result<Partitioner, IndexError> {
-    // Validate the range here rather than letting the constructors panic:
-    // a CRC-consistent tamper can present any arg with valid checksums.
-    if !(1..=crate::block::MAX_BLOCK_LEN).contains(&arg) {
-        return Err(IndexError::CorruptIndex { context: "partitioner arg" });
-    }
-    match kind {
-        0 => Ok(Partitioner::fixed(arg)),
-        1 => Ok(Partitioner::dynamic(arg)),
-        _ => Err(IndexError::CorruptIndex { context: "partitioner kind" }),
-    }
-}
-
-/// Everything a checksummed file (v2/v3/v4) carries before its
-/// version-specific tail sections.
-struct ChecksummedBody {
-    params: Bm25Params,
-    partitioner: Partitioner,
-    codec: CodecId,
-    doc_lens: Vec<u32>,
-    lists: Vec<(String, PostingList)>,
-}
-
-/// Reads the header, doc-length table and term records shared by the
-/// checksummed layouts, verifying each section checksum. `with_codec`
-/// selects the v4-style header (one extra codec-id byte after the
-/// partitioner); without it the body is pre-v4 and implicitly bit-packed.
-fn read_checksummed_body(
-    r: &mut Reader<'_>,
-    with_codec: bool,
-) -> Result<ChecksummedBody, IndexError> {
-    let header_start = r.pos;
-    let k1 = r.f64("header")?;
-    let b = r.f64("header")?;
-    let params = Bm25Params { k1, b };
-    let part_kind = r.u8("header")?;
-    let part_arg = r.u32("header")? as usize;
-    // Read the raw byte here but interpret it only after the section CRC
-    // passes: random corruption of the codec field should surface as a
-    // checksum mismatch, not as a spurious "unknown codec".
-    let codec_raw = if with_codec { Some(r.u8("header")?) } else { None };
-    let n_docs = r.u64("header")? as usize;
-    let n_terms = r.u64("header")? as usize;
-    r.verify_section(header_start, "header", "header checksum")?;
-    let partitioner = read_partitioner(part_kind, part_arg)?;
-    let codec = match codec_raw {
-        Some(raw) => CodecId::from_u8(raw)?,
-        None => CodecId::BitPack,
-    };
-
-    let doc_start = r.pos;
-    let doc_bytes = n_docs
-        .checked_mul(4)
-        .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
-    let raw = r.take(doc_bytes, "doc length table")?;
-    let doc_lens: Vec<u32> =
-        raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-    r.verify_section(doc_start, "doc length table", "doc length checksum")?;
-
-    let mut lists = Vec::with_capacity(n_terms.min(r.remaining()));
-    for _ in 0..n_terms {
-        let record_start = r.pos;
-        let (name, list) = read_term_record(r, "term record", codec)?;
-        r.verify_section(record_start, "term record", "term record checksum")?;
-        lists.push((name, list));
-    }
-    Ok(ChecksummedBody { params, partitioner, codec, doc_lens, lists })
-}
-
-/// Verifies the whole-file footer CRC and that no bytes trail it.
-fn verify_footer(r: &mut Reader<'_>) -> Result<(), IndexError> {
-    let body_end = r.pos;
-    let found = crc32(&r.buf[..body_end]);
-    let expected = r.u32("footer")?;
-    if expected != found {
-        return Err(IndexError::ChecksumMismatch { section: "footer", expected, found });
-    }
-    if r.remaining() != 0 {
-        return Err(IndexError::CorruptIndex { context: "trailing bytes" });
-    }
-    Ok(())
-}
-
-fn deserialize_v2(mut r: Reader<'_>) -> Result<InvertedIndex, IndexError> {
-    let body = read_checksummed_body(&mut r, false)?;
-    verify_footer(&mut r)?;
-    InvertedIndex::from_lists(body.lists, body.doc_lens, body.partitioner, body.params)
-}
-
-/// Shared v3/v4 reader: checksummed body plus a score-bounds section.
-/// `with_codec` distinguishes the v4 header (codec id byte) from v3.
-fn deserialize_bounded(
-    mut r: Reader<'_>,
-    with_codec: bool,
-) -> Result<InvertedIndex, IndexError> {
-    let body = read_checksummed_body(&mut r, with_codec)?;
-
-    let bounds_start = r.pos;
-    let n_terms = body.lists.len();
-    let mut stored: Vec<ListBounds> = Vec::with_capacity(n_terms);
-    for _ in 0..n_terms {
-        let num_blocks = r.u64("score bounds")? as usize;
-        let entry_bytes = num_blocks
-            .checked_mul(8)
-            .ok_or(IndexError::CorruptIndex { context: "score bounds" })?;
-        let raw = r.take(entry_bytes, "score bounds")?;
-        let mut ubs = Vec::with_capacity(num_blocks);
-        let mut max_tfs = Vec::with_capacity(num_blocks);
-        for c in raw.chunks_exact(8) {
-            ubs.push(Fixed::from_raw(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-            max_tfs.push(u32::from_le_bytes([c[4], c[5], c[6], c[7]]));
-        }
-        stored.push(ListBounds::from_raw_parts(ubs, max_tfs));
-    }
-    r.verify_section(bounds_start, "score bounds", "score bounds checksum")?;
-    verify_footer(&mut r)?;
-
-    let index = InvertedIndex::from_lists_codec(
-        body.lists,
-        body.doc_lens,
-        body.partitioner,
-        body.params,
-        body.codec,
-    )?;
-    // `from_lists_codec` recomputed the bounds from the decoded postings;
-    // a CRC-consistent file whose stored bounds disagree was written wrong
-    // (or tampered with checksums recomputed) and must not drive pruning.
-    for (id, stored) in stored.iter().enumerate() {
-        if *stored != *index.list_bounds(id as crate::index::TermId) {
-            return Err(IndexError::CorruptIndex { context: "score bounds mismatch" });
-        }
-    }
-    Ok(index)
-}
-
-fn deserialize_v1(mut r: Reader<'_>) -> Result<InvertedIndex, IndexError> {
-    let k1 = r.f64("header")?;
-    let b = r.f64("header")?;
-    let params = Bm25Params { k1, b };
-    let part_kind = r.u8("header")?;
-    let part_arg = r.u32("header")? as usize;
-    let partitioner = read_partitioner(part_kind, part_arg)?;
-    let n_docs = r.u64("header")? as usize;
-    let doc_bytes = n_docs
-        .checked_mul(4)
-        .ok_or(IndexError::CorruptIndex { context: "doc length table" })?;
-    let raw = r.take(doc_bytes, "doc length table")?;
-    let doc_lens: Vec<u32> =
-        raw.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
-
-    let n_terms = r.u64("term count")? as usize;
-    let mut lists = Vec::with_capacity(n_terms.min(r.remaining()));
-    for _ in 0..n_terms {
-        lists.push(read_term_record(&mut r, "term record", CodecId::BitPack)?);
-    }
-    InvertedIndex::from_lists(lists, doc_lens, partitioner, params)
-}
-
-/// Reads one term record (shared by every format version) and rebuilds
-/// the list by decoding and re-encoding: this validates the content and
-/// reconstructs the derived fields (model cost) without trusting the file.
-fn read_term_record(
-    r: &mut Reader<'_>,
-    context: &'static str,
-    codec: CodecId,
-) -> Result<(String, PostingList), IndexError> {
-    let name_len = r.u32(context)? as usize;
-    let name = std::str::from_utf8(r.take(name_len, context)?)
-        .map_err(|_| IndexError::CorruptIndex { context: "term name utf-8" })?
-        .to_owned();
-
-    let num_postings = r.u64(context)?;
-    let num_blocks = r.u64(context)? as usize;
-    let table_bytes = num_blocks
-        .checked_mul(12)
-        .ok_or(IndexError::CorruptIndex { context: "block tables" })?;
-    let raw = r.take(table_bytes, context)?;
-    let (meta_raw, skip_raw) = raw.split_at(num_blocks * 8);
-    let metas: Vec<BlockMeta> = meta_raw
-        .chunks_exact(8)
-        .map(|c| {
-            BlockMeta::unpack(u64::from_le_bytes([
-                c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-            ]))
-        })
-        .collect();
-    let skips: Vec<u32> = skip_raw
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    let payload_len = r.u64(context)? as usize;
-    let payload = r.take(payload_len, context)?;
-
-    let total: u64 = metas.iter().map(|m| u64::from(m.count)).sum();
-    if total != num_postings {
-        return Err(IndexError::CorruptIndex { context: "posting count mismatch" });
-    }
-    let decoded = decode_raw(&metas, &skips, payload, codec)?;
-    Ok((name, PostingList::from_sorted(decoded)))
-}
-
-/// Decodes raw block tables into postings, with bounds checking.
-///
-/// The bit-packed path reads the payload directly; other codecs decode
-/// each block through their [`crate::BlockCodec`] implementation and the
-/// strictly-increasing docID post-check below catches any in-bounds
-/// corruption the codec's own bounds checks can't (e.g. wrapped gap sums).
-fn decode_raw(
-    metas: &[BlockMeta],
-    skips: &[u32],
-    payload: &[u8],
-    codec: CodecId,
-) -> Result<Vec<crate::posting::Posting>, IndexError> {
-    use crate::bitpack::BitReader;
-    if metas.len() != skips.len() {
-        return Err(IndexError::CorruptIndex { context: "skip/meta count mismatch" });
-    }
-    if codec != CodecId::BitPack {
-        let ops = codec.ops();
-        let mut out = Vec::new();
-        for (i, (meta, &skip)) in metas.iter().zip(skips).enumerate() {
-            let start = meta.offset as usize;
-            let end = match metas.get(i + 1) {
-                Some(next) => next.offset as usize,
-                None => payload.len(),
-            };
-            if start > end || end > payload.len() {
-                return Err(IndexError::CorruptIndex { context: "payload bounds" });
-            }
-            let base = out.len();
-            ops.try_decode_block_into(
-                &payload[start..end],
-                meta.count as usize,
-                meta.dn_bits,
-                meta.tf_bits,
-                skip,
-                &mut out,
-            )?;
-            let floor = if base == 0 { None } else { Some(out[base - 1].doc_id) };
-            let mut prev = floor;
-            for p in &out[base..] {
-                if prev.is_some_and(|d| p.doc_id <= d) {
-                    return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
-                }
-                prev = Some(p.doc_id);
-            }
-        }
-        return Ok(out);
-    }
-    let mut out = Vec::new();
-    for (meta, &skip) in metas.iter().zip(skips) {
-        let bits_needed =
-            meta.offset as usize * 8 + meta.pair_bits() as usize * meta.count as usize;
-        if bits_needed > payload.len() * 8 {
-            return Err(IndexError::CorruptIndex { context: "payload bounds" });
-        }
-        let mut r = BitReader::with_bit_offset(payload, meta.offset as usize * 8);
-        let mut prev = skip;
-        for i in 0..meta.count {
-            let gap = r.read(meta.dn_bits);
-            let tf = r.read(meta.tf_bits);
-            let doc = if i == 0 {
-                skip
-            } else {
-                prev.checked_add(gap)
-                    .ok_or(IndexError::CorruptIndex { context: "docID overflow" })?
-            };
-            if let Some(last) = out.last() {
-                let last: &crate::posting::Posting = last;
-                if doc <= last.doc_id {
-                    return Err(IndexError::CorruptIndex { context: "docIDs not increasing" });
-                }
-            }
-            out.push(crate::posting::Posting::new(doc, tf));
-            prev = doc;
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1231,136 +635,12 @@ mod tests {
         b.build()
     }
 
-    /// Writes `index` in the legacy v1 layout (no checksums), byte-for-byte
-    /// what the old writer produced.
-    fn serialize_v1(index: &InvertedIndex) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_V1);
-        buf.put_f64_le(index.params().k1);
-        buf.put_f64_le(index.params().b);
-        match index.partitioner() {
-            Partitioner::Fixed { block_len } => {
-                buf.put_u8(0);
-                buf.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                buf.put_u8(1);
-                buf.put_u32_le(max_size as u32);
-            }
-        }
-        buf.put_u64_le(index.num_docs());
-        for &l in index.doc_lens() {
-            buf.put_u32_le(l);
-        }
-        buf.put_u64_le(index.num_terms() as u64);
-        for info in index.terms() {
-            let list = index.encoded_list(index.term_id(&info.term).unwrap());
-            buf.put_u32_le(info.term.len() as u32);
-            buf.put_slice(info.term.as_bytes());
-            buf.put_u64_le(list.num_postings());
-            buf.put_u64_le(list.num_blocks() as u64);
-            for meta in list.metas() {
-                buf.put_u64_le(meta.pack());
-            }
-            for &skip in list.skips() {
-                buf.put_u32_le(skip);
-            }
-            buf.put_u64_le(list.payload().len() as u64);
-            buf.put_slice(list.payload());
-        }
-        buf
-    }
-
-    /// Writes `index` in the v2 layout (checksummed, no score bounds
-    /// section), byte-for-byte what the v2 writer produced.
-    fn serialize_v2(index: &InvertedIndex) -> Vec<u8> {
-        fn seal_section(buf: &mut Vec<u8>, start: usize) {
-            let crc = crc32(&buf[start..]);
-            buf.put_u32_le(crc);
-        }
-
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_V2);
-        let header_start = buf.len();
-        buf.put_f64_le(index.params().k1);
-        buf.put_f64_le(index.params().b);
-        match index.partitioner() {
-            Partitioner::Fixed { block_len } => {
-                buf.put_u8(0);
-                buf.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                buf.put_u8(1);
-                buf.put_u32_le(max_size as u32);
-            }
-        }
-        buf.put_u64_le(index.num_docs());
-        buf.put_u64_le(index.num_terms() as u64);
-        seal_section(&mut buf, header_start);
-
-        let doc_start = buf.len();
-        for &l in index.doc_lens() {
-            buf.put_u32_le(l);
-        }
-        seal_section(&mut buf, doc_start);
-
-        for info in index.terms() {
-            let list = index.encoded_list(index.term_id(&info.term).unwrap());
-            let record_start = buf.len();
-            buf.put_u32_le(info.term.len() as u32);
-            buf.put_slice(info.term.as_bytes());
-            buf.put_u64_le(list.num_postings());
-            buf.put_u64_le(list.num_blocks() as u64);
-            for meta in list.metas() {
-                buf.put_u64_le(meta.pack());
-            }
-            for &skip in list.skips() {
-                buf.put_u32_le(skip);
-            }
-            buf.put_u64_le(list.payload().len() as u64);
-            buf.put_slice(list.payload());
-            seal_section(&mut buf, record_start);
-        }
-
-        let footer = crc32(&buf);
-        buf.put_u32_le(footer);
-        buf
-    }
-
     #[test]
     fn roundtrip_preserves_index() {
         let idx = sample_index();
         let bytes = serialize(&idx).unwrap();
         let back = deserialize(&bytes).unwrap();
         assert_eq!(idx, back);
-    }
-
-    #[test]
-    fn reads_legacy_v1_files() {
-        let idx = sample_index();
-        let bytes = serialize_v1(&idx);
-        let back = deserialize(&bytes).unwrap();
-        assert_eq!(idx, back);
-    }
-
-    #[test]
-    fn reads_legacy_v2_files() {
-        // Bounds are derived data: a v2 file (no bounds section) loads
-        // into an index equal to the v3 roundtrip, bounds included.
-        let idx = sample_index();
-        let bytes = serialize_v2(&idx);
-        let back = deserialize(&bytes).unwrap();
-        assert_eq!(idx, back);
-        assert_eq!(back.bounds().len(), back.num_terms());
-    }
-
-    #[test]
-    fn rejects_v2_truncation_everywhere() {
-        let bytes = serialize_v2(&sample_index());
-        for cut in 0..bytes.len() {
-            let r = deserialize(&bytes[..cut]);
-            assert!(r.is_err(), "v2 prefix of {cut} bytes must be rejected");
-        }
     }
 
     #[test]
@@ -1410,15 +690,6 @@ mod tests {
         for cut in 0..bytes.len() {
             let r = deserialize(&bytes[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes must be rejected");
-        }
-    }
-
-    #[test]
-    fn rejects_v1_truncation_everywhere() {
-        let bytes = serialize_v1(&sample_index());
-        for cut in 0..bytes.len() {
-            let r = deserialize(&bytes[..cut]);
-            assert!(r.is_err(), "v1 prefix of {cut} bytes must be rejected");
         }
     }
 
@@ -1580,140 +851,6 @@ mod tests {
             Err(IndexError::UnsupportedFormat { .. })
         ));
         assert!(matches!(scan_sharded(&plain), Err(IndexError::UnsupportedFormat { .. })));
-    }
-
-    /// Writes a legacy v1 shard manifest (no body-length table),
-    /// byte-for-byte what the old writer produced.
-    fn serialize_sharded_v1(sharded: &ShardedIndex) -> Vec<u8> {
-        let first = sharded.shards().first().unwrap();
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_SHARD);
-        let header_start = buf.len();
-        buf.put_u32_le(sharded.num_shards() as u32);
-        buf.put_u64_le(sharded.num_docs());
-        buf.put_f64_le(first.avgdl());
-        match sharded.parent_partitioner() {
-            Partitioner::Fixed { block_len } => {
-                buf.put_u8(0);
-                buf.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                buf.put_u8(1);
-                buf.put_u32_le(max_size as u32);
-            }
-        }
-        buf.put_u64_le(first.num_terms() as u64);
-        for info in first.terms() {
-            buf.put_u32_le(info.idf_bar.raw());
-        }
-        seal_section(&mut buf, header_start);
-        for shard in sharded.shards() {
-            write_checksummed_body(&mut buf, shard, false).unwrap();
-        }
-        let footer = crc32(&buf);
-        buf.put_u32_le(footer);
-        buf
-    }
-
-    #[test]
-    fn legacy_v1_shard_manifest_still_loads() {
-        let sharded = sample_sharded();
-        let bytes = serialize_sharded_v1(&sharded);
-        assert!(is_sharded(&bytes));
-        let back = deserialize_sharded(&bytes).unwrap();
-        assert_eq!(sharded, back);
-        let report = scan_sharded(&bytes).unwrap();
-        assert_eq!(report.version, 1);
-        assert!(report.is_clean(), "clean v1 manifest must scan clean: {report:?}");
-    }
-
-    /// Writes a legacy v2 shard manifest (body-length table but no codec
-    /// id bytes), byte-for-byte what the pre-v4 writer produced.
-    fn serialize_sharded_v2(sharded: &ShardedIndex) -> Vec<u8> {
-        let first = sharded.shards().first().unwrap();
-        let mut bodies: Vec<Vec<u8>> = Vec::new();
-        for shard in sharded.shards() {
-            let mut body = Vec::new();
-            write_checksummed_body(&mut body, shard, false).unwrap();
-            bodies.push(body);
-        }
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_SHARD_V2);
-        let header_start = buf.len();
-        buf.put_u32_le(sharded.num_shards() as u32);
-        buf.put_u64_le(sharded.num_docs());
-        buf.put_f64_le(first.avgdl());
-        match sharded.parent_partitioner() {
-            Partitioner::Fixed { block_len } => {
-                buf.put_u8(0);
-                buf.put_u32_le(block_len as u32);
-            }
-            Partitioner::Dynamic { max_size } => {
-                buf.put_u8(1);
-                buf.put_u32_le(max_size as u32);
-            }
-        }
-        buf.put_u64_le(first.num_terms() as u64);
-        for info in first.terms() {
-            buf.put_u32_le(info.idf_bar.raw());
-        }
-        for body in &bodies {
-            buf.put_u64_le(body.len() as u64);
-        }
-        seal_section(&mut buf, header_start);
-        for body in &bodies {
-            buf.put_slice(body);
-        }
-        let footer = crc32(&buf);
-        buf.put_u32_le(footer);
-        buf
-    }
-
-    #[test]
-    fn legacy_v2_shard_manifest_still_loads() {
-        let sharded = sample_sharded();
-        let bytes = serialize_sharded_v2(&sharded);
-        assert!(is_sharded(&bytes));
-        let back = deserialize_sharded(&bytes).unwrap();
-        assert_eq!(sharded, back);
-        let report = scan_sharded(&bytes).unwrap();
-        assert_eq!(report.version, 2);
-        assert!(report.is_clean(), "clean v2 manifest must scan clean: {report:?}");
-    }
-
-    /// Writes `index` in the legacy v3 layout: the v4 layout minus the
-    /// codec id byte, byte-for-byte what the pre-codec writer produced.
-    fn serialize_v3(index: &InvertedIndex) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC_V3);
-        write_checksummed_body(&mut buf, index, false).unwrap();
-        let bounds_start = buf.len();
-        for bounds in index.bounds() {
-            buf.put_u64_le(bounds.num_blocks() as u64);
-            for (ub, &max_tf) in bounds.ubs().iter().zip(bounds.max_tfs()) {
-                buf.put_u32_le(ub.raw());
-                buf.put_u32_le(max_tf);
-            }
-        }
-        seal_section(&mut buf, bounds_start);
-        let footer = crc32(&buf);
-        buf.put_u32_le(footer);
-        buf
-    }
-
-    #[test]
-    fn reads_legacy_v3_files() {
-        let idx = sample_index();
-        let bytes = serialize_v3(&idx);
-        let back = deserialize(&bytes).unwrap();
-        assert_eq!(back, idx);
-        assert_eq!(back.codec(), CodecId::BitPack, "pre-v4 files are bit-packed");
-        // The legacy layout keeps its own corruption detection.
-        for byte in 0..bytes.len() {
-            let mut flipped = bytes.clone();
-            flipped[byte] ^= 1 << (byte % 8);
-            assert!(deserialize(&flipped).is_err(), "v3 bit flip at byte {byte} accepted");
-        }
     }
 
     fn sample_index_with(codec: CodecId) -> InvertedIndex {
@@ -1943,17 +1080,6 @@ mod tests {
         assert!(matches!(report.shards[0], ShardBodyStatus::Ok { .. }));
         assert!(matches!(report.shards[2], ShardBodyStatus::Ok { .. }));
         assert!(!report.footer_ok, "footer covers the flipped byte");
-
-        // The same corruption in a v1 manifest hides the shards after it.
-        let v1 = serialize_sharded_v1(&sharded);
-        let v1_header_len = 4 + 8 + 8 + 5 + 8 + sharded.shard(0).num_terms() * 4;
-        let v1_shard1_mid = 8 + v1_header_len + 4 + body_lens[0] + body_lens[1] / 2;
-        let mut v1_corrupt = v1.clone();
-        v1_corrupt[v1_shard1_mid] ^= 0x10;
-        let v1_report = scan_sharded(&v1_corrupt).unwrap();
-        assert!(matches!(v1_report.shards[0], ShardBodyStatus::Ok { .. }));
-        assert!(matches!(v1_report.shards[1], ShardBodyStatus::Corrupt { .. }));
-        assert!(matches!(v1_report.shards[2], ShardBodyStatus::Unscanned));
     }
 
     #[test]
@@ -2097,5 +1223,100 @@ mod tests {
         assert_eq!(back.partitioner(), Partitioner::fixed(128));
         assert!((back.params().k1 - 0.9).abs() < 1e-12);
         assert!((back.params().b - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn heap_loads_report_a_heap_source() {
+        // Heap loads parse an owned copy of the file: the index and every
+        // list report heap bytes, never a mapping.
+        let back = deserialize(&serialize(&sample_index()).unwrap()).unwrap();
+        assert!(!back.source().is_mapped());
+        assert_eq!(back.source().kind(), "heap");
+        for id in 0..back.num_terms() as TermId {
+            assert!(!back.encoded_list(id).is_mapped(), "list {id}");
+        }
+        let sharded =
+            deserialize_sharded(&serialize_sharded(&sample_sharded()).unwrap()).unwrap();
+        for shard in sharded.shards() {
+            assert_eq!(shard.source().kind(), "heap");
+        }
+    }
+
+    #[test]
+    fn removed_formats_are_refused_by_every_loader() {
+        // Plain v1–v3 and manifest v1–v2 files are no longer read: every
+        // loader reports their magic as an unsupported format, whatever
+        // bytes follow it.
+        let plain = serialize(&sample_index()).unwrap();
+        let manifest = serialize_sharded(&sample_sharded()).unwrap();
+        let removed: [(u64, &Vec<u8>); 5] = [
+            (0x4949_5558_0000_0001, &plain),
+            (0x4949_5558_0000_0002, &plain),
+            (0x4949_5558_0000_0003, &plain),
+            (0x4949_5553_0000_0001, &manifest),
+            (0x4949_5553_0000_0002, &manifest),
+        ];
+        let path = std::env::temp_dir().join(format!("iiu-io-{}-removed", std::process::id()));
+        for (magic, original) in removed {
+            let mut bytes = original.clone();
+            bytes[..8].copy_from_slice(&magic.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let refused = |r: Result<(), IndexError>| matches!(r, Err(IndexError::UnsupportedFormat { found }) if found == magic);
+            assert!(!is_sharded(&bytes), "{magic:#x}");
+            assert!(refused(deserialize(&bytes).map(drop)), "deserialize {magic:#x}");
+            assert!(refused(deserialize_sharded(&bytes).map(drop)), "sharded {magic:#x}");
+            assert!(refused(scan_sharded(&bytes).map(drop)), "scan {magic:#x}");
+            assert!(refused(peek_codec(&bytes).map(drop)), "peek {magic:#x}");
+            assert!(refused(storage::map_index(&path).map(drop)), "map {magic:#x}");
+            assert!(refused(storage::map_sharded(&path).map(drop)), "map sharded {magic:#x}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn overflowing_shard_body_length_is_a_typed_error_in_every_manifest_loader() {
+        // A body-length entry that takes its body's start + length to
+        // usize::MAX, with the header CRC and the footer resealed so only
+        // the length is wrong. Every manifest loader must reject it with a
+        // typed error; the scan reports that shard corrupt.
+        let sharded = sample_sharded();
+        let clean = serialize_sharded(&sharded).unwrap();
+        let header_len = 4 + 8 + 8 + 5 + 8 + sharded.shard(0).num_terms() * 4 + 3 * 8;
+        let lens_at = 8 + header_len - 3 * 8;
+        let path =
+            std::env::temp_dir().join(format!("iiu-io-{}-overflow", std::process::id()));
+        let mut start = 8 + header_len + 4;
+        for s in 0..3 {
+            let at = lens_at + s * 8;
+            let len = u64::from_le_bytes(clean[at..at + 8].try_into().unwrap());
+            let mut bytes = clean.clone();
+            bytes[at..at + 8].copy_from_slice(&((usize::MAX - start) as u64).to_le_bytes());
+            let crc = crc32(&bytes[8..8 + header_len]);
+            bytes[8 + header_len..8 + header_len + 4].copy_from_slice(&crc.to_le_bytes());
+            let n = bytes.len();
+            let footer = crc32(&bytes[..n - 4]);
+            bytes[n - 4..].copy_from_slice(&footer.to_le_bytes());
+
+            assert!(
+                matches!(deserialize_sharded(&bytes), Err(IndexError::CorruptIndex { .. })),
+                "shard {s}"
+            );
+            let report = scan_sharded(&bytes).unwrap();
+            assert!(
+                matches!(
+                    report.shards[s],
+                    ShardBodyStatus::Corrupt { error: IndexError::CorruptIndex { .. } }
+                ),
+                "shard {s}: {report:?}"
+            );
+            assert!(!report.is_clean());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(storage::map_sharded(&path), Err(IndexError::CorruptIndex { .. })),
+                "shard {s}"
+            );
+            start += len as usize;
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

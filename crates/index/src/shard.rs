@@ -327,28 +327,13 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// Assembles a sharded index from parts (the deserializer's entry
-    /// point). Validates the cross-shard invariants before accepting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::CorruptIndex`] if the parts are inconsistent.
-    pub fn from_shards(
-        shards: Vec<InvertedIndex>,
-        n_docs: u64,
-        parent_partitioner: Partitioner,
-    ) -> Result<Self, IndexError> {
-        let sharded = ShardedIndex { shards, n_docs, parent_partitioner };
-        sharded.validate()?;
-        Ok(sharded)
-    }
-
-    /// [`from_shards`](Self::from_shards) minus the per-shard deep
-    /// validation — the zero-copy manifest loader's entry point
-    /// ([`crate::storage`]), which has already validated each shard
-    /// structurally while parsing it and recomputed its score bounds from
-    /// the decoded postings. Re-running [`InvertedIndex::validate`] here
-    /// would decode every payload a second time.
+    /// Assembles a sharded index from parsed shards — the manifest
+    /// loader's entry point ([`crate::storage`]), which has already
+    /// validated each shard structurally while parsing it and recomputed
+    /// its score bounds from the decoded postings. Only the cross-shard
+    /// invariants are checked here; the heap loader
+    /// ([`crate::io::deserialize_sharded`]) runs the full
+    /// [`validate`](Self::validate) afterwards.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Full verification gate: build, tests, the fault-injected serving soak,
-# the no-panic lint wall, and the hot-path decode, shard-scaling, mmap
-# storage, and serve tail-latency perf gates.
+# Full verification gate: formatting, build, tests, the fault-injected
+# serving soak, the no-panic lint wall, and the hot-path decode,
+# shard-scaling, mmap storage, and serve tail-latency perf gates.
 #
 # Usage: ./verify.sh [--quick]
 #   --quick  skip the perf gates (the slowest steps; use while
@@ -29,6 +29,9 @@ for arg in "$@"; do
         *) echo "usage: $0 [--quick]" >&2; exit 2 ;;
     esac
 done
+
+# Formatting wall: the same check CI runs as its first step.
+cargo fmt --all -- --check
 
 cargo build --release --workspace
 cargo test -q --workspace
