@@ -5,7 +5,10 @@
 //! queries outstanding, the device path sabotaged throughout so every
 //! answer runs the sharded CPU path — once with the fixed topology
 //! (every query fans out across all shards) and once with the hybrid
-//! scheduler (cheap queries answer inline, heavy ones fan out).
+//! scheduler (cheap queries answer inline; a heavy one fans out only
+//! when the pool lanes its shards need are free, and otherwise runs
+//! inline too — under this closed loop that is a few percent of the
+//! stream).
 //!
 //! Reported per mode: p50/p99/p999 service latency from the serving
 //! layer's own log₂-µs histogram (interpolated, with the top-bucket

@@ -25,6 +25,7 @@ use iiu_sim::SimConfig;
 
 use crate::breaker::{CircuitBreaker, Route};
 use crate::config::ServeConfig;
+use crate::scheduler::{self, Lanes, ParallelismMode};
 use crate::stats::{HealthSnapshot, ServeStats};
 
 /// Why the service declined to answer a query with hits.
@@ -115,6 +116,9 @@ struct Shared {
     /// `cfg.shards > 1`. One shard pool shared by every serve worker
     /// (`search_ref` takes `&self`); `None` keeps the unsharded fallback.
     sharded: Option<ShardedSearchEngine>,
+    /// CPU lanes held by sharded-path queries; capacity `max(pool
+    /// threads, shards)`. Unused when unsharded.
+    lanes: Lanes,
 }
 
 /// Locks a mutex, recovering from poisoning. Queue contents are plain
@@ -203,6 +207,10 @@ impl QueryService {
         sharded: Option<ShardedSearchEngine>,
     ) -> Self {
         let breaker = CircuitBreaker::new(cfg.breaker);
+        let lane_capacity = sharded.as_ref().map_or(1, |e| {
+            let pool = e.inner().pool();
+            pool.num_workers().max(pool.num_shards())
+        });
         let shared = Arc::new(Shared {
             index,
             live,
@@ -214,6 +222,7 @@ impl QueryService {
             breaker,
             seq: AtomicU64::new(0),
             sharded,
+            lanes: Lanes::new(lane_capacity),
         });
         let workers = (0..shared.cfg.workers)
             .map(|i| {
@@ -323,6 +332,9 @@ impl QueryService {
             shard_rescues: s.shard_rescues.load(Ordering::Relaxed),
             sched_inline: s.sched_inline.load(Ordering::Relaxed),
             sched_fanout: s.sched_fanout.load(Ordering::Relaxed),
+            sched_deferred: s.sched_deferred.load(Ordering::Relaxed),
+            lanes_in_use: self.shared.lanes.in_use(),
+            lanes_peak: self.shared.lanes.peak(),
             shard_health: self
                 .shared
                 .sharded
@@ -629,29 +641,52 @@ fn run_fallback(
             }),
         });
     };
-    // Hybrid scheduling (§4.4): price the query from document
-    // frequencies and only pay the shard fan-out tax when its longest
-    // postings list clears the heavy threshold; cheap queries answer
-    // inline on this worker (inter-query style), leaving the pool to the
-    // queries that actually scale with it. With the scheduler off every
-    // sharded query fans out, exactly as before.
-    let fan_out = shared.sharded.is_some()
-        && (!shared.cfg.scheduler.hybrid
-            || crate::scheduler::route(index, &job.query, &shared.cfg.scheduler).mode
-                == crate::scheduler::ParallelismMode::IntraQuery);
-    if shared.sharded.is_some() {
-        if fan_out {
-            shared.stats.sched_fanout.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.stats.sched_inline.fetch_add(1, Ordering::Relaxed);
+    // Hybrid scheduling (§4.4). The cost router classes a query heavy
+    // when its longest postings list clears the threshold; cheap queries
+    // answer inline on this worker. A heavy query fans out only if it can
+    // reserve its shards' lanes (`Lanes`): a lone query gets every core,
+    // while on busy CPUs it runs inline. There a fan-out's shard tasks
+    // queue behind other work (on 2 vCPUs a 2-shard fan-out of two 100 µs
+    // tasks took p50 219 µs) and cost more CPU than the inline run. The
+    // guard holds this query's lanes until the function returns, panics
+    // included. With the scheduler off every sharded query fans out.
+    let (fan_out, _lanes) = match &shared.sharded {
+        None => (None, None),
+        Some(engine) => {
+            let cfg = &shared.cfg.scheduler;
+            let shards = engine.inner().num_shards();
+            let stats = &shared.stats;
+            let reserved = if !cfg.hybrid {
+                Some(shared.lanes.hold(shards))
+            } else if scheduler::route(index, &job.query, cfg).mode
+                == ParallelismMode::IntraQuery
+            {
+                let reserved = shared.lanes.try_reserve(shards);
+                if reserved.is_none() {
+                    stats.sched_deferred.fetch_add(1, Ordering::Relaxed);
+                }
+                reserved
+            } else {
+                None
+            };
+            match reserved {
+                Some(lanes) => {
+                    stats.sched_fanout.fetch_add(1, Ordering::Relaxed);
+                    (Some(engine), Some(lanes))
+                }
+                None => {
+                    stats.sched_inline.fetch_add(1, Ordering::Relaxed);
+                    (None, Some(shared.lanes.hold(1)))
+                }
+            }
         }
-    }
+    };
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
         // Sharded fan-out when configured (intra-query parallelism, same
         // hits); otherwise the plain single-threaded baseline. The shard
         // pool is shared across serve workers, so the engine is queried
         // through &self.
-        match shared.sharded.as_ref().filter(|_| fan_out) {
+        match fan_out {
             Some(engine) => engine.search_ref(&job.query, job.k).or_else(|e| {
                 // Last-resort rescue: a total shard outage (every shard
                 // quarantined/wedged at once) or a fail-closed partial

@@ -53,11 +53,14 @@ pub struct ServeStats {
     pub shard_rescues: AtomicU64,
     /// Sharded-path queries the hybrid scheduler ran inline on the serve
     /// worker (inter-query mode — estimated too cheap to pay the
-    /// fan-out tax).
+    /// fan-out tax, or deferred because the pool lanes were taken).
     pub sched_inline: AtomicU64,
     /// Sharded-path queries fanned out across every shard (intra-query
     /// mode; with the scheduler off this counts every sharded query).
     pub sched_fanout: AtomicU64,
+    /// Heavy queries run inline because their fan-out's lanes were taken
+    /// (a subset of [`Self::sched_inline`]).
+    pub sched_deferred: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
 }
 
@@ -79,6 +82,7 @@ impl Default for ServeStats {
             shard_rescues: AtomicU64::new(0),
             sched_inline: AtomicU64::new(0),
             sched_fanout: AtomicU64::new(0),
+            sched_deferred: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -246,10 +250,18 @@ pub struct HealthSnapshot {
     /// fan-out errored outright.
     pub shard_rescues: u64,
     /// Sharded-path queries routed inline (inter-query) by the hybrid
-    /// scheduler.
+    /// scheduler, deferred heavy queries included.
     pub sched_inline: u64,
     /// Sharded-path queries fanned out across every shard (intra-query).
     pub sched_fanout: u64,
+    /// Heavy queries run inline because the lanes their fan-out needed
+    /// were taken (counted in `sched_inline` too).
+    pub sched_deferred: u64,
+    /// CPU lanes held by sharded-path queries at snapshot time (1 per
+    /// inline query, one per shard per fan-out).
+    pub lanes_in_use: usize,
+    /// The most lanes held at once since the service started.
+    pub lanes_peak: usize,
     /// Per-shard supervision state and counters (failures, quarantine
     /// trips); empty when unsharded.
     pub shard_health: Vec<iiu_core::ShardHealthReport>,
@@ -327,12 +339,15 @@ impl std::fmt::Display for HealthSnapshot {
             writeln!(
                 f,
                 "shards={} partial_answers={} rescues={} sched(inline={} fanout={}) \
-                 docs_scored_per_shard={:?}",
+                 deferred={} lanes(in_use={} peak={}) docs_scored_per_shard={:?}",
                 self.shards,
                 self.shard_partials,
                 self.shard_rescues,
                 self.sched_inline,
                 self.sched_fanout,
+                self.sched_deferred,
+                self.lanes_in_use,
+                self.lanes_peak,
                 self.shard_docs_scored
             )?;
             for h in &self.shard_health {
@@ -479,6 +494,9 @@ mod tests {
             shard_rescues: 1,
             sched_inline: 30,
             sched_fanout: 50,
+            sched_deferred: 7,
+            lanes_in_use: 2,
+            lanes_peak: 5,
             shard_health: vec![iiu_core::ShardHealthReport {
                 shard: 0,
                 health: iiu_core::ShardHealth::Ok,
@@ -510,6 +528,7 @@ mod tests {
         assert!(h.to_string().contains("partial_answers=2"));
         assert!(h.to_string().contains("rescues=1"));
         assert!(h.to_string().contains("sched(inline=30 fanout=50)"));
+        assert!(h.to_string().contains("deferred=7 lanes(in_use=2 peak=5)"));
         assert!(h.to_string().contains("shard 0: ok"));
         assert!(h.to_string().contains("worker 0: alive tasks=42 respawns=1"));
     }

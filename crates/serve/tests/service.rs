@@ -452,3 +452,127 @@ fn hybrid_scheduler_routes_by_cost_and_stays_bit_identical() {
     assert_eq!(h.sched_fanout, 3, "heavy-list queries route intra-query");
     assert_eq!(h.sched_inline + h.sched_fanout, h.cpu_fallbacks);
 }
+
+/// A hybrid two-shard service whose every query counts as heavy, with the
+/// device path sabotaged so each one runs the sharded CPU path.
+fn all_heavy_config(
+    pool_threads: usize,
+    shard_chaos: iiu_serve::ShardChaosPlan,
+) -> ServeConfig {
+    ServeConfig {
+        workers: 2,
+        shards: 2,
+        shard_pool: iiu_serve::ShardPoolConfig {
+            pool_threads,
+            ..iiu_serve::ShardPoolConfig::default()
+        },
+        shard_chaos,
+        retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+        fault: FaultPlan { burst: Some((0, u64::MAX)), ..FaultPlan::NONE },
+        scheduler: iiu_serve::SchedulerConfig {
+            hybrid: true,
+            heavy_df_threshold: 1,
+            ..iiu_serve::SchedulerConfig::default()
+        },
+        ..quick_config()
+    }
+}
+
+#[test]
+fn heavy_queries_run_inline_while_a_fan_out_holds_the_pool() {
+    let index = Arc::new(tiny_index(0x1A4E5));
+    // Every shard task sleeps, so a fanned-out query holds both lanes of
+    // the two-thread pool for the whole stall.
+    let stall = iiu_serve::ShardChaosPlan {
+        stall_rate: 1.0,
+        stall: Duration::from_millis(500),
+        ..iiu_serve::ShardChaosPlan::NONE
+    };
+    let svc = QueryService::start(Arc::clone(&index), all_heavy_config(2, stall));
+    let mut cpu = CpuSearchEngine::new(&index);
+    let mut check = |q: &Query, resp: iiu_core::SearchResponse| {
+        assert_eq!(resp.hits, cpu.search(q, 10).expect("cpu search failed").hits, "{q}");
+    };
+    let queries: Vec<Query> = (0..3).map(|id| Query::term(term_of(&index, id))).collect();
+
+    let first = svc.submit(queries[0].clone(), 10).expect("admitted");
+    let waiting_since = std::time::Instant::now();
+    while svc.health().lanes_in_use < 2 {
+        assert!(
+            waiting_since.elapsed() < Duration::from_secs(5),
+            "first query never fanned out"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The pool is full: the second heavy query answers inline, long
+    // before the stalled fan-out returns.
+    check(&queries[1], svc.search_blocking(queries[1].clone(), 10).expect("inline answer"));
+    let h = svc.health();
+    assert_eq!((h.sched_fanout, h.sched_inline, h.sched_deferred), (1, 1, 1), "{h}");
+    assert_eq!(h.lanes_in_use, 2, "the fan-out still holds its lanes: {h}");
+
+    check(&queries[0], first.wait().expect("stalled fan-out completes"));
+    // Idle again: the next heavy query fans out.
+    check(&queries[2], svc.search_blocking(queries[2].clone(), 10).expect("fan-out answer"));
+    let h = svc.health();
+    assert_eq!((h.sched_fanout, h.sched_inline, h.sched_deferred), (2, 1, 1), "{h}");
+    assert_eq!(h.sched_inline + h.sched_fanout, h.cpu_fallbacks);
+    assert_eq!((h.lanes_in_use, h.lanes_peak), (0, 3), "{h}");
+}
+
+#[test]
+fn racing_heavy_queries_never_overfill_the_lanes() {
+    // Shard panics fail the fan-out closed; the unsharded rescue answers,
+    // so every reply is the full ranking.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload().downcast_ref::<String>().map(String::as_str).unwrap_or("");
+        if !msg.contains("injected shard panic") {
+            default_hook(info);
+        }
+    }));
+    let index = Arc::new(tiny_index(0x7ACE));
+    let panics = iiu_serve::ShardChaosPlan {
+        panic_rate: 0.3,
+        seed: 0x7ACE,
+        ..iiu_serve::ShardChaosPlan::NONE
+    };
+    // Capacity max(3 pool threads, 2 shards) = 3: one two-lane fan-out
+    // beside the other worker's inline query fits, two fan-outs do not.
+    let cfg = ServeConfig { fail_closed_shards: true, ..all_heavy_config(3, panics) };
+    let mut svc = QueryService::start(Arc::clone(&index), cfg);
+    let mut cpu = CpuSearchEngine::new(&index);
+    let queries: Vec<(Query, Vec<iiu_core::Hit>)> = (0..16)
+        .map(|id| {
+            let q = Query::term(term_of(&index, id));
+            let hits = cpu.search(&q, 10).expect("cpu search failed").hits;
+            (q, hits)
+        })
+        .collect();
+
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 40;
+    let start = std::sync::Barrier::new(CLIENTS);
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            let (svc, queries, start) = (&svc, &queries, &start);
+            s.spawn(move || {
+                for r in 0..ROUNDS {
+                    start.wait();
+                    let (q, expect) = &queries[(c * ROUNDS + r) % queries.len()];
+                    let resp =
+                        svc.search_blocking(q.clone(), 10).expect("every query answers");
+                    assert_eq!(&resp.hits, expect, "{q}");
+                }
+            });
+        }
+    });
+    svc.shutdown();
+    let h = svc.health();
+    assert_eq!(h.answered(), (CLIENTS * ROUNDS) as u64, "{h}");
+    assert!(h.sched_fanout >= 1 && h.shard_rescues >= 1, "no fan-out hit a shard panic: {h}");
+    assert_eq!(h.sched_inline + h.sched_fanout, h.cpu_fallbacks, "{h}");
+    assert!(h.sched_deferred <= h.sched_inline, "{h}");
+    assert!(h.lanes_peak <= 3, "lanes overfilled: {h}");
+    assert_eq!(h.lanes_in_use, 0, "lanes leaked after the drain: {h}");
+}

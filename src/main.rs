@@ -1025,11 +1025,13 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     if h.shards > 1 {
         println!(
             "shards:        {} workers, {} partial answers, {} unsharded rescues, \
-             sched {} inline / {} fanout, docs scored per shard {:?}",
+             sched {} inline ({} deferred: lanes taken) / {} fanout, \
+             docs scored per shard {:?}",
             h.shards,
             h.shard_partials,
             h.shard_rescues,
             h.sched_inline,
+            h.sched_deferred,
             h.sched_fanout,
             h.shard_docs_scored
         );

@@ -142,6 +142,7 @@ fn shard_chaos_campaign_stays_available_and_truthful() {
         pruned_cpu_fallback: true,
         shards: SHARDS,
         shard_pool: ShardPoolConfig {
+            pool_threads: 4 * SHARDS, // one fan-out per serve worker always finds its lanes
             deadline: Some(Duration::from_millis(50)),
             quarantine_threshold: 4,
             quarantine_cooldown: Duration::from_millis(30),

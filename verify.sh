@@ -68,12 +68,9 @@ cargo test --release --test soak -q
 # mid-stream. Asserts total availability, truthful
 # Degradation::ShardsUnavailable labeling, bit-identical surviving-shard
 # hits against an unsharded reference, and quarantine trip + half-open
-# recovery + worker respawn. Skipped under --quick (the heaviest soak).
-if [ "$quick" -eq 0 ]; then
-    cargo test --release --test shard_chaos -q
-else
-    echo "verify: --quick set, skipping shard chaos campaign"
-fi
+# recovery + worker respawn. Runs under --quick too (under a second in
+# release), so CI covers the shard pool and the hybrid router.
+cargo test --release --test shard_chaos -q
 
 # Torn-write recovery campaign (DESIGN.md §16): 1,200 randomized
 # crash-and-recover trials over the incremental write path (torn WAL
